@@ -164,20 +164,38 @@ impl PassEffect {
     }
 }
 
-/// The five contract clauses a pass claims, mirroring
-/// `convergent_core::PassContract` without depending on it (core
-/// depends on this crate, not the other way around).
+/// The behavioural contract a pass declares — the five clauses
+/// [`prove_contract`](crate::prove_contract) checks against the pass's
+/// effect summary: proved clauses pass, refuted ones are reported as
+/// their `CS06x` code, and clauses the summary cannot decide as
+/// `CS064`. `convergent_core` re-exports it as `PassContract`.
+///
+/// Every field defaults to the framework's baseline expectations
+/// (`ContractClaims::default()`); a pass relaxes a clause only where it
+/// intentionally does not honor it — INITTIME, which creates the
+/// feasibility windows in the first place, sets
+/// [`ContractClaims::establishes_windows`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ContractClaims {
-    /// The pass establishes feasibility windows.
+    /// This pass *establishes* feasibility (windows and executable
+    /// clusters) rather than working inside it; the window-respecting
+    /// check is skipped. Only INITTIME sets this.
     pub establishes_windows: bool,
-    /// Absolute writes stay inside feasible windows.
+    /// Absolute writes (`set`/`add`) land inside the instruction's
+    /// feasible window. Multiplicative operations cannot violate
+    /// feasibility (zero times anything is zero), so only absolute
+    /// writes are checked. Violations are `CS060`.
     pub window_respecting: bool,
-    /// Same input and seed, same operation log.
+    /// Identical inputs and an identically seeded RNG produce the
+    /// bit-identical operation log. Violations are `CS061`.
     pub deterministic: bool,
-    /// Map invariants hold after the pass plus driver normalization.
+    /// The preference-map invariants (`W ∈ [0,1]`, `Σ W[i] = 1`,
+    /// consistent marginals) hold after the pass runs and the driver
+    /// normalizes. Violations are `CS062`.
     pub normalization_preserving: bool,
-    /// Never forbids a capable preplacement home.
+    /// The pass never forbids (or zero-scales) the home cluster of a
+    /// preplaced instruction that its home can execute. Violations
+    /// are `CS063`.
     pub preplacement_monotone: bool,
 }
 

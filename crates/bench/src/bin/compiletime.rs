@@ -37,8 +37,10 @@
 //! (`shard_sizes`, `boundary_comms`) and every sharded schedule is
 //! re-validated outside the timed region. Every row also records
 //! `shards_effective` — the region count the decomposer actually
-//! produced (1 when the cut was refused or trivial); a mismatch with
-//! the requested `--shards` is warned on stderr.
+//! produced (1 when the cut was refused or trivial). `--shards` caps
+//! concurrency, not the region count, so the only warning (on stderr)
+//! is for a sharded run (`--shards` > 1) that fell back to one
+//! region.
 //!
 //! Measurements run serially (never through the parallel harness) so
 //! each row gets an unloaded machine. Every size is repeated
@@ -57,7 +59,7 @@
 //!
 //! Each size also runs a second, equally-budgeted loop of
 //! fully-instrumented reps through the telemetry layer: the hot-path
-//! counter totals, argmax-cache hit rate, and measured overhead (best
+//! counter totals and measured overhead (best
 //! instrumented rep vs best uninstrumented rep) land in the JSON
 //! rows, and `--trace FILE` writes a Chrome trace (all sizes on one
 //! timeline) loadable in Perfetto.
@@ -248,8 +250,8 @@ fn main() {
         }
     };
     println!(
-        "{:>8}{:>8}{:>12}{:>16}{:>8}{:>12}{:>10}{:>10}",
-        "instrs", "width", "best (s)", "instrs/sec", "reps", "weight ops", "hit rate", "tel ovh"
+        "{:>8}{:>8}{:>12}{:>16}{:>8}{:>12}{:>10}",
+        "instrs", "width", "best (s)", "instrs/sec", "reps", "weight ops", "tel ovh"
     );
     let mut rows: Vec<Row> = Vec::new();
     let mut trace_sink = trace_path.as_ref().map(|_| ChromeTraceSink::new());
@@ -329,19 +331,16 @@ fn main() {
             (counters, best_tel)
         };
         let shards_effective = shard_sizes.as_ref().map_or(1, Vec::len);
-        if shards > 1 && shards_effective != shards {
+        if shards > 1 && shards_effective == 1 {
             eprintln!(
-                "warning: {n} instrs: requested --shards {shards} but the decomposer \
-                 produced {shards_effective} region(s)"
+                "warning: {n} instrs: requested --shards {shards} but the run fell back \
+                 to one region"
             );
         }
         let ips = n as f64 / best;
-        let hit_rate = counters
-            .argmax_hit_rate()
-            .map_or_else(|| "n/a".to_string(), |r| format!("{:.1}%", r * 100.0));
         let overhead = telemetry_secs / best;
         println!(
-            "{n:>8}{width:>8}{best:>12.4}{ips:>16.0}{reps:>8}{:>12}{hit_rate:>10}{overhead:>9.2}x",
+            "{n:>8}{width:>8}{best:>12.4}{ips:>16.0}{reps:>8}{:>12}{overhead:>9.2}x",
             counters.weight_ops()
         );
         if let Some(sizes) = &shard_sizes {
@@ -431,12 +430,8 @@ fn main() {
                     row.boundary_comms.unwrap_or(0)
                 ));
             }
-            let hit_rate = row
-                .counters
-                .argmax_hit_rate()
-                .map_or_else(|| "null".to_string(), |r| format!("{r:.4}"));
             json.push_str(&format!(
-                ", \"counters\": {}, \"argmax_hit_rate\": {hit_rate}, \"telemetry_overhead\": {:.4}",
+                ", \"counters\": {}, \"telemetry_overhead\": {:.4}",
                 row.counters.to_json(),
                 row.telemetry_secs / row.best
             ));

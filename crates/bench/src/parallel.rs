@@ -9,9 +9,9 @@
 //! cells themselves are deterministic (fixed seeds, no shared mutable
 //! state) and the ordering is restored by slot, not by completion.
 //!
-//! The schedulers are *not* shared across threads (a
-//! [`convergent_core::PreferenceMap`] is `Send` but not `Sync`, and a
-//! pass sequence holds `Box<dyn Pass>`): each cell closure constructs
+//! The schedulers are *not* shared across threads (a pass sequence
+//! holds `Box<dyn Pass>`; a [`convergent_core::PreferenceMap`] is
+//! `Sync` but each run builds its own): each cell closure constructs
 //! its own scheduler from plain configuration, which is also what
 //! keeps the per-cell work deterministic.
 

@@ -1,6 +1,6 @@
 //! Pass-contract verification from effect summaries.
 //!
-//! A [`crate::Pass`] declares a [`PassContract`]; this module checks
+//! A [`crate::Pass`] declares a [`crate::PassContract`]; this module checks
 //! the declaration statically. The pass's [`crate::Pass::effect`]
 //! summary is fed to the abstract interpreter
 //! ([`convergent_analysis::prove_contract`]), which tries to decide
@@ -23,30 +23,16 @@
 
 use std::collections::HashSet;
 
-use convergent_analysis::{
-    prove_contract, Code, ContractClaims, ContractProof, Diagnostic, PassSummary, Verdict,
-};
+use convergent_analysis::{prove_contract, Code, ContractProof, Diagnostic, PassSummary, Verdict};
 use convergent_machine::Machine;
 
-use crate::{Pass, PassContract, Sequence};
-
-/// Converts a declared [`PassContract`] into the analysis-side
-/// [`ContractClaims`] mirror (field for field).
-fn claims_of(c: &PassContract) -> ContractClaims {
-    ContractClaims {
-        establishes_windows: c.establishes_windows,
-        window_respecting: c.window_respecting,
-        deterministic: c.deterministic,
-        normalization_preserving: c.normalization_preserving,
-        preplacement_monotone: c.preplacement_monotone,
-    }
-}
+use crate::{Pass, Sequence};
 
 /// Bundles a pass's name, claimed contract, and effect summary into
 /// the [`PassSummary`] the abstract interpreter consumes.
 #[must_use]
 pub fn summarize_pass(pass: &dyn Pass) -> PassSummary {
-    PassSummary::new(pass.name(), claims_of(&pass.contract()), pass.effect())
+    PassSummary::new(pass.name(), pass.contract(), pass.effect())
 }
 
 /// Summarizes every pass of `seq`, in order — the input shape for
@@ -83,7 +69,7 @@ pub fn sequence_proof_counts(seq: &Sequence) -> (u64, u64) {
     (proven, unproven)
 }
 
-/// Verifies `pass` against its declared [`PassContract`] from its
+/// Verifies `pass` against its declared [`crate::PassContract`] from its
 /// effect summary alone: one `CS060`–`CS063` diagnostic per refuted
 /// clause and one `CS064` warning per clause the summary cannot
 /// decide. The pass is never run.

@@ -51,51 +51,11 @@ pub struct PassScratch {
     pub mark: Vec<u32>,
 }
 
-/// The behavioural contract a pass declares, checked by
+/// The behavioural contract a pass declares, checked statically by
 /// [`crate::contract::verify_pass`] from the pass's [`Pass::effect`]
-/// summary: proved clauses pass, refuted ones are reported as their
-/// `CS06x` code, and clauses the summary cannot decide as `CS064`.
-///
-/// Every field defaults to the framework's baseline expectations
-/// (`PassContract::default()`); a pass overrides
-/// [`Pass::contract`] only to *relax* a clause it intentionally does
-/// not honor — INITTIME, which creates the feasibility windows in the
-/// first place, sets [`PassContract::establishes_windows`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PassContract {
-    /// This pass *establishes* feasibility (windows and executable
-    /// clusters) rather than working inside it; the window-respecting
-    /// check is skipped. Only INITTIME sets this.
-    pub establishes_windows: bool,
-    /// Absolute writes (`set`/`add`) land inside the instruction's
-    /// feasible window. Multiplicative operations cannot violate
-    /// feasibility (zero times anything is zero), so only absolute
-    /// writes are checked. Violations are `CS060`.
-    pub window_respecting: bool,
-    /// Identical inputs and an identically seeded RNG produce the
-    /// bit-identical operation log. Violations are `CS061`.
-    pub deterministic: bool,
-    /// The preference-map invariants (`W ∈ [0,1]`, `Σ W[i] = 1`,
-    /// consistent marginals) hold after the pass runs and the driver
-    /// normalizes. Violations are `CS062`.
-    pub normalization_preserving: bool,
-    /// The pass never forbids (or zero-scales) the home cluster of a
-    /// preplaced instruction that its home can execute. Violations
-    /// are `CS063`.
-    pub preplacement_monotone: bool,
-}
-
-impl Default for PassContract {
-    fn default() -> Self {
-        PassContract {
-            establishes_windows: false,
-            window_respecting: true,
-            deterministic: true,
-            normalization_preserving: true,
-            preplacement_monotone: true,
-        }
-    }
-}
+/// summary; see [`ContractClaims`](convergent_analysis::ContractClaims)
+/// for the clauses and their defaults.
+pub use convergent_analysis::ContractClaims as PassContract;
 
 /// One convergent-scheduling heuristic.
 ///

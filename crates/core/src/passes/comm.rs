@@ -15,7 +15,8 @@
 //! cluster no neighbor currently favours is dampened, not
 //! obliterated). This interpretation is flagged in DESIGN.md.
 //!
-//! Two extras from the paper, both on by default:
+//! Two extras from the paper, the first always on, the second on by
+//! default:
 //!
 //! * "a variant … that considers grand-parents and grand-children,
 //!   and we usually run it together with COMM" — grand-neighbors
@@ -50,26 +51,17 @@ const SKEW_FLOOR: f64 = 0.05;
 /// The COMM pass. See the module docs.
 #[derive(Clone, Copy, Debug)]
 pub struct Comm {
-    grand_neighbors: bool,
     reinforce_preferred: bool,
 }
 
 impl Comm {
-    /// Creates the pass with grand-neighbors and preferred-slot
-    /// reinforcement enabled, the configuration the paper runs.
+    /// Creates the pass with preferred-slot reinforcement enabled, the
+    /// configuration the paper runs.
     #[must_use]
     pub fn new() -> Self {
         Comm {
-            grand_neighbors: true,
             reinforce_preferred: true,
         }
-    }
-
-    /// Enables or disables the grand-parent/grand-child variant.
-    #[must_use]
-    pub fn with_grand_neighbors(mut self, on: bool) -> Self {
-        self.grand_neighbors = on;
-        self
     }
 
     /// Enables or disables the `W[i,tᵢ,cᵢ] ← 2W[i,tᵢ,cᵢ]`
@@ -120,7 +112,7 @@ impl Pass for Comm {
         skew.clear();
         skew.resize(n_instrs * n_clusters, SKEW_FLOOR);
         mark.clear();
-        mark.resize(if self.grand_neighbors { n_instrs } else { 0 }, u32::MAX);
+        mark.resize(n_instrs, u32::MAX);
         for (i, row) in dag.ids().zip(skew.chunks_exact_mut(n_clusters)) {
             for n in dag.neighbors(i) {
                 let nb = n.index() * n_clusters;
@@ -128,20 +120,18 @@ impl Pass for Comm {
                     *rc += mc;
                 }
             }
-            if self.grand_neighbors {
-                let stamp = i.index() as u32;
-                mark[i.index()] = stamp;
-                for n in dag.neighbors(i) {
-                    mark[n.index()] = stamp;
-                }
-                for n in dag.neighbors(i) {
-                    for g in dag.neighbors(n) {
-                        if mark[g.index()] != stamp {
-                            mark[g.index()] = stamp;
-                            let gb = g.index() * n_clusters;
-                            for (rc, &mc) in row.iter_mut().zip(&marginal[gb..gb + n_clusters]) {
-                                *rc += 0.5 * mc;
-                            }
+            let stamp = i.index() as u32;
+            mark[i.index()] = stamp;
+            for n in dag.neighbors(i) {
+                mark[n.index()] = stamp;
+            }
+            for n in dag.neighbors(i) {
+                for g in dag.neighbors(n) {
+                    if mark[g.index()] != stamp {
+                        mark[g.index()] = stamp;
+                        let gb = g.index() * n_clusters;
+                        for (rc, &mc) in row.iter_mut().zip(&marginal[gb..gb + n_clusters]) {
+                            *rc += 0.5 * mc;
                         }
                     }
                 }
@@ -207,8 +197,9 @@ mod tests {
 
     #[test]
     fn grand_neighbors_reach_two_hops() {
-        // chain x -> m -> y; x pinned to cluster 2; with the
-        // grand-neighbor variant y hears about it in one COMM run.
+        // chain x -> m -> y; x pinned to cluster 2. y's one neighbor m
+        // is uniform, so only the grand-neighbor x can pull y toward
+        // cluster 2 in one COMM run.
         let mut b = DagBuilder::new();
         let x = b.instr(Opcode::IntAlu);
         let m = b.instr(Opcode::IntAlu);
@@ -217,24 +208,18 @@ mod tests {
         b.edge(m, y).unwrap();
         let dag = b.build().unwrap();
 
-        let mut with = Rig::new(dag.clone(), Machine::raw(4));
-        with.weights.scale_cluster(x, c(2), 100.0);
-        with.weights.normalize_all();
-        with.run(&Comm::new().with_reinforcement(false));
-        let conf_with = with.weights.cluster_weight(y, c(2));
-
-        let mut without = Rig::new(dag, Machine::raw(4));
-        without.weights.scale_cluster(x, c(2), 100.0);
-        without.weights.normalize_all();
-        without.run(
-            &Comm::new()
-                .with_grand_neighbors(false)
-                .with_reinforcement(false),
+        let mut rig = Rig::new(dag, Machine::raw(4));
+        rig.weights.scale_cluster(x, c(2), 100.0);
+        rig.weights.normalize_all();
+        let untouched = rig.weights.clone();
+        rig.run(&Comm::new().with_reinforcement(false));
+        let (after, before) = (
+            rig.weights.cluster_weight(y, c(2)),
+            untouched.cluster_weight(y, c(2)),
         );
-        let conf_without = without.weights.cluster_weight(y, c(2));
         assert!(
-            conf_with > conf_without,
-            "grand-neighbors must strengthen the pull: {conf_with} vs {conf_without}"
+            after > before,
+            "the grand-neighbor must pull y toward cluster 2: {after} vs {before}"
         );
     }
 

@@ -17,38 +17,18 @@ use convergent_analysis::{EffectOp, Interval, PassEffect};
 
 use crate::{Pass, PassContext};
 
+/// The paper's emphasis of each instruction's level slot.
+const FACTOR: f64 = 1.2;
+
 /// The EMPHCP pass. See the module docs.
-#[derive(Clone, Copy, Debug)]
-pub struct EmphCp {
-    factor: f64,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EmphCp;
 
 impl EmphCp {
     /// Creates the pass with the paper's factor of 1.2.
     #[must_use]
     pub fn new() -> Self {
-        EmphCp { factor: 1.2 }
-    }
-
-    /// Overrides the emphasis factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not a positive finite number.
-    #[must_use]
-    pub fn with_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "factor must be positive"
-        );
-        self.factor = factor;
-        self
-    }
-}
-
-impl Default for EmphCp {
-    fn default() -> Self {
-        EmphCp::new()
+        EmphCp
     }
 }
 
@@ -66,7 +46,7 @@ impl Pass for EmphCp {
         for i in ctx.dag.ids() {
             let level = ctx.time.level(i);
             if level < n_slots {
-                ctx.weights.scale_time(i, level, self.factor);
+                ctx.weights.scale_time(i, level, FACTOR);
             }
         }
     }
@@ -76,7 +56,7 @@ impl Pass for EmphCp {
         // same factor hits every cluster, so spatial marginals keep
         // their ratios.
         PassEffect::new(vec![EffectOp::ScaleTimes {
-            factor: Interval::point(self.factor),
+            factor: Interval::point(FACTOR),
         }])
         .time_only()
     }

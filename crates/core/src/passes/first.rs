@@ -16,38 +16,18 @@ use convergent_analysis::{EffectOp, Interval, PassEffect};
 
 use crate::{Pass, PassContext};
 
+/// The paper's boost of the data-home cluster.
+const FACTOR: f64 = 1.2;
+
 /// The FIRST pass. See the module docs.
-#[derive(Clone, Copy, Debug)]
-pub struct First {
-    factor: f64,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct First;
 
 impl First {
     /// Creates the pass with the paper's factor of 1.2.
     #[must_use]
     pub fn new() -> Self {
-        First { factor: 1.2 }
-    }
-
-    /// Overrides the boost factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not a positive finite number.
-    #[must_use]
-    pub fn with_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "factor must be positive"
-        );
-        self.factor = factor;
-        self
-    }
-}
-
-impl Default for First {
-    fn default() -> Self {
-        First::new()
+        First
     }
 }
 
@@ -61,7 +41,7 @@ impl Pass for First {
             return;
         };
         for i in ctx.dag.ids() {
-            ctx.weights.scale_cluster(i, home, self.factor);
+            ctx.weights.scale_cluster(i, home, FACTOR);
         }
     }
 
@@ -69,7 +49,7 @@ impl Pass for First {
         // A constant boost of the data-home cluster column (no-op on
         // machines without one).
         PassEffect::new(vec![EffectOp::ScaleClusters {
-            factor: Interval::point(self.factor),
+            factor: Interval::point(FACTOR),
         }])
         .breaks_symmetry()
     }

@@ -36,11 +36,13 @@ use convergent_ir::ClusterId;
 
 use crate::{Pass, PassContext};
 
+/// The paper's amplitude: the upper bound of the per-cell uniform
+/// addition.
+const AMPLITUDE: f64 = 1.0;
+
 /// The NOISE pass. See the module docs.
-#[derive(Clone, Copy, Debug)]
-pub struct Noise {
-    amplitude: f64,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Noise;
 
 impl Noise {
     /// Creates the pass with the paper's amplitude: uniform noise in
@@ -48,29 +50,7 @@ impl Noise {
     /// dominates until later passes assert their preferences).
     #[must_use]
     pub fn new() -> Self {
-        Noise { amplitude: 1.0 }
-    }
-
-    /// Sets the noise amplitude (the upper bound of the per-cell
-    /// uniform addition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amplitude` is negative or not finite.
-    #[must_use]
-    pub fn with_amplitude(mut self, amplitude: f64) -> Self {
-        assert!(
-            amplitude.is_finite() && amplitude >= 0.0,
-            "amplitude must be a non-negative finite number"
-        );
-        self.amplitude = amplitude;
-        self
-    }
-}
-
-impl Default for Noise {
-    fn default() -> Self {
-        Noise::new()
+        Noise
     }
 }
 
@@ -92,7 +72,7 @@ impl Pass for Noise {
             // stays at the widest row rather than up to twice that.
             draws.reserve_exact(cells);
             draws.extend((0..cells).map(|_| ctx.rng.next_f64()));
-            ctx.weights.noise_fill(i, self.amplitude, draws);
+            ctx.weights.noise_fill(i, AMPLITUDE, draws);
         }
     }
 
@@ -100,19 +80,15 @@ impl Pass for Noise {
         // Each feasible in-window cell gets `cur + amplitude·U(0,1)`:
         // an additive, support-preserving write bounded by a
         // normalized cell (≤ 1) plus the amplitude.
-        let eff = PassEffect::new(vec![EffectOp::Absolute {
+        PassEffect::new(vec![EffectOp::Absolute {
             in_window: true,
-            value: Interval::new(0.0, 1.0 + self.amplitude),
+            value: Interval::new(0.0, 1.0 + AMPLITUDE),
             randomized: true,
             preserves_support: true,
         }])
         .with_determinism(Determinism::SeededRng)
-        .reads_windows();
-        if self.amplitude > 0.0 {
-            eff.breaks_symmetry()
-        } else {
-            eff
-        }
+        .reads_windows()
+        .breaks_symmetry()
     }
 }
 
@@ -163,20 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_amplitude_is_identity() {
-        let mut rig = Rig::new(flat_dag(4), Machine::raw(4));
-        let before = rig.weights.clone();
-        rig.run(&Noise::new().with_amplitude(0.0));
-        for i in rig.dag.ids() {
-            for c in rig.machine.cluster_ids() {
-                assert!(
-                    (rig.weights.cluster_weight(i, c) - before.cluster_weight(i, c)).abs() < 1e-12
-                );
-            }
-        }
-    }
-
-    #[test]
     fn deterministic_under_same_seed() {
         let mut a = Rig::new(flat_dag(6), Machine::raw(4));
         let mut b = Rig::new(flat_dag(6), Machine::raw(4));
@@ -188,11 +150,5 @@ mod tests {
                 b.weights.preferred_cluster(i)
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "amplitude")]
-    fn negative_amplitude_panics() {
-        let _ = Noise::new().with_amplitude(-1.0);
     }
 }

@@ -18,44 +18,22 @@ use convergent_ir::{ClusterId, CriticalPath, InstrId};
 
 use crate::{Pass, PassContext};
 
+/// The paper's boost of each critical-path instruction's cluster.
+const FACTOR: f64 = 3.0;
+
+/// Minimum top-to-second cluster-bias ratio for the path to follow its
+/// own bias instead of the least-loaded cluster.
+const BIAS_THRESHOLD: f64 = 1.05;
+
 /// The PATH pass. See the module docs.
-#[derive(Clone, Copy, Debug)]
-pub struct Path {
-    factor: f64,
-    /// Minimum top-to-second cluster-bias ratio for the path to follow
-    /// its own bias instead of the least-loaded cluster.
-    bias_threshold: f64,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Path;
 
 impl Path {
     /// Creates the pass with the paper's boost factor of 3.
     #[must_use]
     pub fn new() -> Self {
-        Path {
-            factor: 3.0,
-            bias_threshold: 1.05,
-        }
-    }
-
-    /// Overrides the boost factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not a positive finite number.
-    #[must_use]
-    pub fn with_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "factor must be positive"
-        );
-        self.factor = factor;
-        self
-    }
-}
-
-impl Default for Path {
-    fn default() -> Self {
-        Path::new()
+        Path
     }
 }
 
@@ -104,7 +82,7 @@ impl Pass for Path {
         // A constant, feasibility-guarded boost of each critical-path
         // instruction's chosen cluster column.
         PassEffect::new(vec![EffectOp::ScaleClusters {
-            factor: Interval::point(self.factor),
+            factor: Interval::point(FACTOR),
         }])
         .breaks_symmetry()
     }
@@ -113,7 +91,7 @@ impl Pass for Path {
 impl Path {
     fn boost(&self, ctx: &mut PassContext<'_>, i: InstrId, cc: ClusterId) {
         if ctx.weights.cluster_feasible(i, cc) {
-            ctx.weights.scale_cluster(i, cc, self.factor);
+            ctx.weights.scale_cluster(i, cc, FACTOR);
         }
     }
 
@@ -133,7 +111,7 @@ impl Path {
         let top = order[0];
         let clear = n_clusters == 1
             || bias[order[1]] <= f64::MIN_POSITIVE
-            || bias[top] / bias[order[1]] >= self.bias_threshold;
+            || bias[top] / bias[order[1]] >= BIAS_THRESHOLD;
         if clear {
             return ClusterId::new(top as u16);
         }

@@ -20,73 +20,39 @@ use convergent_ir::{ClusterId, InstrId};
 
 use crate::{Pass, PassContext};
 
+/// Confidence above which an instruction is a walk source ("the
+/// confidence threshold t is an input parameter").
+///
+/// It sits above the ×3 confidence a bare PATH boost produces, so path
+/// propagation spreads *externally grounded* decisions (preplacement
+/// via PLACE/PLACEPROP, accumulated multi-pass agreement) rather than
+/// blanketing the graph with a single heuristic's guess — on
+/// preplacement-free graphs that blanketing would collapse everything
+/// onto one cluster before LEVEL ever gets to distribute parallelism.
+const THRESHOLD: f64 = 4.0;
+
+/// Confidence below which an instruction counts as *undecided* and may
+/// be overwritten by a walk. The paper's only gate is `confidence(i) <
+/// confidence(ih)`, but that lets a feedback-amplified majority
+/// steamroll every mild decision made by other heuristics (exactly the
+/// irreversibility the framework exists to avoid); propagating only
+/// into near-uniform targets keeps the pass to its stated job of
+/// guiding the undecided.
+const TARGET_THRESHOLD: f64 = 1.3;
+
+/// The blend weight the walked instruction keeps (paper: 0.5).
+const BLEND: f64 = 0.5;
+
 /// The PATHPROP pass. See the module docs.
-#[derive(Clone, Copy, Debug)]
-pub struct PathProp {
-    threshold: f64,
-    target_threshold: f64,
-    blend: f64,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PathProp;
 
 impl PathProp {
     /// Creates the pass with confidence threshold 4.0 and the paper's
     /// 50/50 blend.
-    ///
-    /// The threshold sits above the ×3 confidence a bare PATH boost
-    /// produces, so path propagation spreads *externally grounded*
-    /// decisions (preplacement via PLACE/PLACEPROP, accumulated
-    /// multi-pass agreement) rather than blanketing the graph with a
-    /// single heuristic's guess — on preplacement-free graphs that
-    /// blanketing would collapse everything onto one cluster before
-    /// LEVEL ever gets to distribute parallelism.
     #[must_use]
     pub fn new() -> Self {
-        PathProp {
-            threshold: 4.0,
-            target_threshold: 1.3,
-            blend: 0.5,
-        }
-    }
-
-    /// Sets the confidence threshold for selecting source
-    /// instructions ("the confidence threshold t is an input
-    /// parameter").
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Sets the confidence below which an instruction counts as
-    /// *undecided* and may be overwritten by a walk. The paper's only
-    /// gate is `confidence(i) < confidence(ih)`, but that lets a
-    /// feedback-amplified majority steamroll every mild decision made
-    /// by other heuristics (exactly the irreversibility the framework
-    /// exists to avoid); propagating only into near-uniform targets
-    /// keeps the pass to its stated job of guiding the undecided.
-    #[must_use]
-    pub fn with_target_threshold(mut self, threshold: f64) -> Self {
-        self.target_threshold = threshold;
-        self
-    }
-
-    /// Sets the blend weight kept by the walked instruction
-    /// (paper: 0.5).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= keep <= 1.0`.
-    #[must_use]
-    pub fn with_blend(mut self, keep: f64) -> Self {
-        assert!((0.0..=1.0).contains(&keep), "blend must be in [0, 1]");
-        self.blend = keep;
-        self
-    }
-}
-
-impl Default for PathProp {
-    fn default() -> Self {
-        PathProp::new()
+        PathProp
     }
 }
 
@@ -100,27 +66,27 @@ impl Pass for PathProp {
             .dag
             .ids()
             .map(|i| (i, ctx.weights.confidence(i)))
-            .filter(|&(_, conf)| conf > self.threshold)
+            .filter(|&(_, conf)| conf > THRESHOLD)
             .collect();
         // Most confident first; walk each source down, then up.
         sources.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("confidences comparable"));
         for (ih, conf_h) in sources {
             let src_marginal = marginal(ctx, ih);
-            self.walk(ctx, ih, conf_h, &src_marginal, Direction::Down);
-            self.walk(ctx, ih, conf_h, &src_marginal, Direction::Up);
+            walk(ctx, ih, conf_h, &src_marginal, Direction::Down);
+            walk(ctx, ih, conf_h, &src_marginal, Direction::Up);
         }
     }
 
     fn effect(&self) -> PassEffect {
         // `set_cluster_marginal` reshapes a walked row to a blend of
         // two normalized marginals — an in-window absolute write of a
-        // value in [0, 1] that keeps `blend`·own, so a positive cell
-        // stays positive whenever the pass keeps any of the old value.
+        // value in [0, 1] that keeps `BLEND`·own > 0 of it, so a
+        // positive cell stays positive.
         PassEffect::new(vec![EffectOp::Absolute {
             in_window: true,
             value: Interval::unit(),
             randomized: false,
-            preserves_support: self.blend > 0.0,
+            preserves_support: true,
         }])
         .reads_windows()
     }
@@ -139,42 +105,33 @@ fn marginal(ctx: &PassContext<'_>, i: InstrId) -> Vec<f64> {
         .collect()
 }
 
-impl PathProp {
-    fn walk(
-        &self,
-        ctx: &mut PassContext<'_>,
-        ih: InstrId,
-        conf_h: f64,
-        src: &[f64],
-        dir: Direction,
-    ) {
-        let mut cur = ih;
-        loop {
-            let next = {
-                let step: &[InstrId] = match dir {
-                    Direction::Down => ctx.dag.succs(cur),
-                    Direction::Up => ctx.dag.preds(cur),
-                };
-                // "find i | i ∈ successor(ih), confidence(i) <
-                // confidence(ih)" — we take the least confident, the
-                // one most in need of guidance.
-                step.iter()
-                    .copied()
-                    .map(|s| (s, ctx.weights.confidence(s)))
-                    .filter(|&(_, conf)| conf < conf_h && conf < self.target_threshold)
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("comparable"))
-                    .map(|(s, _)| s)
+fn walk(ctx: &mut PassContext<'_>, ih: InstrId, conf_h: f64, src: &[f64], dir: Direction) {
+    let mut cur = ih;
+    loop {
+        let next = {
+            let step: &[InstrId] = match dir {
+                Direction::Down => ctx.dag.succs(cur),
+                Direction::Up => ctx.dag.preds(cur),
             };
-            let Some(s) = next else { break };
-            let cur_marginal = marginal(ctx, s);
-            let target: Vec<f64> = cur_marginal
-                .iter()
-                .zip(src)
-                .map(|(own, from)| self.blend * own + (1.0 - self.blend) * from)
-                .collect();
-            ctx.weights.set_cluster_marginal(s, &target);
-            cur = s;
-        }
+            // "find i | i ∈ successor(ih), confidence(i) <
+            // confidence(ih)" — we take the least confident, the
+            // one most in need of guidance.
+            step.iter()
+                .copied()
+                .map(|s| (s, ctx.weights.confidence(s)))
+                .filter(|&(_, conf)| conf < conf_h && conf < TARGET_THRESHOLD)
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("comparable"))
+                .map(|(s, _)| s)
+        };
+        let Some(s) = next else { break };
+        let cur_marginal = marginal(ctx, s);
+        let target: Vec<f64> = cur_marginal
+            .iter()
+            .zip(src)
+            .map(|(own, from)| BLEND * own + (1.0 - BLEND) * from)
+            .collect();
+        ctx.weights.set_cluster_marginal(s, &target);
+        cur = s;
     }
 }
 

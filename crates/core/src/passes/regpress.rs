@@ -22,48 +22,19 @@ use convergent_ir::InstrId;
 
 use crate::{Pass, PassContext};
 
+/// Penalty multiplier applied to a deferred instruction's early slots.
+const PENALTY: f64 = 0.25;
+
 /// The REGPRESS pass. See the module docs.
-#[derive(Clone, Copy, Debug)]
-pub struct RegPressure {
-    /// Fraction of the register file the estimate may fill (1.0 uses
-    /// the whole file; lower values leave headroom for allocator
-    /// imperfection).
-    capacity_fraction: f64,
-    /// Penalty multiplier applied to a deferred instruction's early
-    /// slots.
-    penalty: f64,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RegPressure;
 
 impl RegPressure {
     /// Creates the pass using the full register file and a 0.25×
     /// early-slot penalty.
     #[must_use]
     pub fn new() -> Self {
-        RegPressure {
-            capacity_fraction: 1.0,
-            penalty: 0.25,
-        }
-    }
-
-    /// Sets the usable fraction of the register file.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fraction <= 1`.
-    #[must_use]
-    pub fn with_capacity_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "capacity fraction must be in (0, 1]"
-        );
-        self.capacity_fraction = fraction;
-        self
-    }
-}
-
-impl Default for RegPressure {
-    fn default() -> Self {
-        RegPressure::new()
+        RegPressure
     }
 }
 
@@ -74,8 +45,8 @@ impl Pass for RegPressure {
 
     fn run(&self, ctx: &mut PassContext<'_>) {
         let n_slots = ctx.weights.n_slots() as u32;
-        let cap = (f64::from(ctx.machine.registers_per_cluster()) * self.capacity_fraction).max(1.0)
-            as usize;
+        // The estimate may fill the whole register file.
+        let cap = ctx.machine.registers_per_cluster().max(1) as usize;
 
         // Estimated start (preferred time) per instruction. A value is
         // live from its producer's finish until its last consumer's
@@ -144,7 +115,7 @@ impl Pass for RegPressure {
                     // later.
                     let (lo, _) = ctx.weights.window(i);
                     for slot in lo..=cur[k].min(n_slots - 1) {
-                        ctx.weights.scale_time(i, slot, self.penalty);
+                        ctx.weights.scale_time(i, slot, PENALTY);
                     }
                     cur[k] += 1;
                     ivs[k] = interval(i, cur[k]);
@@ -161,7 +132,7 @@ impl Pass for RegPressure {
         // marginals can shift: not a time-only pass (see the
         // `is_time_only` test below).
         PassEffect::new(vec![EffectOp::ScaleTimes {
-            factor: Interval::point(self.penalty),
+            factor: Interval::point(PENALTY),
         }])
         .reads_windows()
     }
@@ -241,11 +212,5 @@ mod tests {
         // as a regular pass.
         assert!(!RegPressure::new().is_time_only());
         assert_eq!(RegPressure::new().name(), "REGPRESS");
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity fraction")]
-    fn bad_fraction_panics() {
-        let _ = RegPressure::new().with_capacity_fraction(0.0);
     }
 }

@@ -77,9 +77,9 @@ fn fmt_f64(v: f64) -> String {
 /// maintains the changed-fraction scan). The map-derived metrics are
 /// all means over instructions, so one deterministic stride sample of
 /// at most [`CONVERGENCE_SAMPLE_CAP`] rows serves every term —
-/// confidence and coverage via the argmax cache, entropy via the bulk
-/// [`PreferenceMap::row_entropy`] kernel — keeping the measurement
-/// O(cap) on any region size (and exact below the cap).
+/// confidence and coverage via O(C) cluster-marginal scans, entropy
+/// via the bulk [`PreferenceMap::row_entropy`] kernel — keeping the
+/// measurement O(cap) rows on any region size (exact below the cap).
 #[must_use]
 pub fn measure(dag: &Dag, weights: &PreferenceMap, decision_churn: f64) -> ConvergenceMetrics {
     let stride = dag.len().div_ceil(CONVERGENCE_SAMPLE_CAP).max(1);

@@ -10,19 +10,16 @@
 //!   [`crate::PreferenceMap`]. Counting is **off by default**: every
 //!   increment site first checks a plain `bool`, so the disabled path
 //!   costs one predictable branch (and the scheduler's byte-identical
-//!   output never depends on the flag — counters only observe). The
-//!   counts are plain [`Cell`]s: reads such as `preferred_cluster`
-//!   count through `&PreferenceMap`, and each map is driven by one
-//!   thread.
-
-use std::cell::Cell;
+//!   output never depends on the flag — counters only observe). Only
+//!   mutations count, so the counts are plain `u64`s bumped through
+//!   `&mut PreferenceMap`.
 
 /// A snapshot of every telemetry counter, batched per span.
 ///
-/// Map-owned counters (weight ops, argmax cache, band events) are
-/// filled by [`crate::PreferenceMap`]; harness-owned counters
-/// (boundary COMMs, referee verdicts) are filled by the driver and the
-/// verification tools. All fields are plain totals, so deltas and sums
+/// Map-owned counters (weight ops, band events) are filled by
+/// [`crate::PreferenceMap`]; harness-owned counters (boundary COMMs,
+/// referee verdicts) are filled by the driver and the verification
+/// tools. All fields are plain totals, so deltas and sums
 /// are field-wise.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CounterTotals {
@@ -45,12 +42,14 @@ pub struct CounterTotals {
     /// Bulk row-operation calls (`noise_fill`, `scale_clusters_row`) —
     /// one count per row visit, however many cells the visit touched.
     pub row_batch: u64,
-    /// Argmax reads answered from a valid cache.
+    /// Always 0: the map keeps no argmax cache, so nothing counts
+    /// hits. Outside [`CounterTotals::named`] and every exporter; kept
+    /// only because the `schedbench` harness still reads it, and
+    /// deleted with the next change that may touch `schedbench/`.
     pub argmax_hits: u64,
-    /// Argmax reads that forced a fresh marginal scan.
+    /// Always 0, like [`CounterTotals::argmax_hits`], and deleted with
+    /// it.
     pub argmax_misses: u64,
-    /// Cached argmax halves invalidated by a mutation.
-    pub argmax_invalidations: u64,
     /// Banded-layout band growths (out-of-band absolute writes).
     pub band_growths: u64,
     /// Uniform-row densifications on the banded layout.
@@ -81,7 +80,7 @@ impl CounterTotals {
     /// Every counter as `(name, value)`, in a fixed order — the single
     /// source of truth for exporters.
     #[must_use]
-    pub fn named(&self) -> [(&'static str, u64); 23] {
+    pub fn named(&self) -> [(&'static str, u64); 20] {
         [
             ("set", self.set),
             ("scale", self.scale),
@@ -92,9 +91,6 @@ impl CounterTotals {
             ("normalize", self.normalize),
             ("reset_uniform", self.reset_uniform),
             ("row_batch", self.row_batch),
-            ("argmax_hits", self.argmax_hits),
-            ("argmax_misses", self.argmax_misses),
-            ("argmax_invalidations", self.argmax_invalidations),
             ("band_growths", self.band_growths),
             ("band_densifications", self.band_densifications),
             ("boundary_comms", self.boundary_comms),
@@ -122,14 +118,6 @@ impl CounterTotals {
             + self.normalize
             + self.reset_uniform
             + self.row_batch
-    }
-
-    /// Fraction of argmax reads answered from cache, or `None` when
-    /// there were no reads.
-    #[must_use]
-    pub fn argmax_hit_rate(&self) -> Option<f64> {
-        let reads = self.argmax_hits + self.argmax_misses;
-        (reads > 0).then(|| self.argmax_hits as f64 / reads as f64)
     }
 
     /// `true` when every counter is zero.
@@ -184,9 +172,6 @@ impl CounterTotals {
             "normalize" => self.normalize = v,
             "reset_uniform" => self.reset_uniform = v,
             "row_batch" => self.row_batch = v,
-            "argmax_hits" => self.argmax_hits = v,
-            "argmax_misses" => self.argmax_misses = v,
-            "argmax_invalidations" => self.argmax_invalidations = v,
             "band_growths" => self.band_growths = v,
             "band_densifications" => self.band_densifications = v,
             "boundary_comms" => self.boundary_comms = v,
@@ -220,30 +205,12 @@ pub(crate) enum OpKind {
 
 /// The live counter block owned by [`crate::PreferenceMap`].
 ///
-/// Disabled by default: every increment first checks `enabled`, a
-/// plain `bool` flipped only via `&mut self`, so the hot path pays one
-/// well-predicted branch.
+/// Disabled by default: every increment first checks `enabled`, so the
+/// hot path pays one well-predicted branch.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MapCounters {
     enabled: bool,
-    set: Cell<u64>,
-    scale: Cell<u64>,
-    scale_cluster: Cell<u64>,
-    scale_time: Cell<u64>,
-    set_window: Cell<u64>,
-    forbid_cluster: Cell<u64>,
-    normalize: Cell<u64>,
-    reset_uniform: Cell<u64>,
-    row_batch: Cell<u64>,
-    argmax_hits: Cell<u64>,
-    argmax_misses: Cell<u64>,
-    argmax_invalidations: Cell<u64>,
-}
-
-/// Adds `n` to `cell`.
-#[inline]
-fn bump(cell: &Cell<u64>, n: u64) {
-    cell.set(cell.get() + n);
+    totals: CounterTotals,
 }
 
 impl MapCounters {
@@ -258,63 +225,29 @@ impl MapCounters {
 
     /// Counts one weight operation. No-op (one branch) when disabled.
     #[inline]
-    pub(crate) fn op(&self, kind: OpKind) {
+    pub(crate) fn op(&mut self, kind: OpKind) {
         if !self.enabled {
             return;
         }
+        let t = &mut self.totals;
         let field = match kind {
-            OpKind::Set => &self.set,
-            OpKind::Scale => &self.scale,
-            OpKind::ScaleCluster => &self.scale_cluster,
-            OpKind::ScaleTime => &self.scale_time,
-            OpKind::SetWindow => &self.set_window,
-            OpKind::ForbidCluster => &self.forbid_cluster,
-            OpKind::Normalize => &self.normalize,
-            OpKind::ResetUniform => &self.reset_uniform,
-            OpKind::RowBatch => &self.row_batch,
+            OpKind::Set => &mut t.set,
+            OpKind::Scale => &mut t.scale,
+            OpKind::ScaleCluster => &mut t.scale_cluster,
+            OpKind::ScaleTime => &mut t.scale_time,
+            OpKind::SetWindow => &mut t.set_window,
+            OpKind::ForbidCluster => &mut t.forbid_cluster,
+            OpKind::Normalize => &mut t.normalize,
+            OpKind::ResetUniform => &mut t.reset_uniform,
+            OpKind::RowBatch => &mut t.row_batch,
         };
-        bump(field, 1);
-    }
-
-    /// Counts one argmax read (hit = answered from a valid cache).
-    /// Callers must gate on [`MapCounters::enabled`] themselves — the
-    /// hit/miss classification needs a cache-flag read that should not
-    /// happen on the disabled path.
-    #[inline]
-    pub(crate) fn argmax_read(&self, hit: bool) {
-        let field = if hit {
-            &self.argmax_hits
-        } else {
-            &self.argmax_misses
-        };
-        bump(field, 1);
-    }
-
-    /// Counts `n` argmax-cache invalidations (gate on
-    /// [`MapCounters::enabled`] at the call site).
-    #[inline]
-    pub(crate) fn invalidations(&self, n: u64) {
-        bump(&self.argmax_invalidations, n);
+        *field += 1;
     }
 
     /// Snapshot of the map-owned counters (band events are owned by
     /// the banded core and merged by the map).
     pub(crate) fn totals(&self) -> CounterTotals {
-        CounterTotals {
-            set: self.set.get(),
-            scale: self.scale.get(),
-            scale_cluster: self.scale_cluster.get(),
-            scale_time: self.scale_time.get(),
-            set_window: self.set_window.get(),
-            forbid_cluster: self.forbid_cluster.get(),
-            normalize: self.normalize.get(),
-            reset_uniform: self.reset_uniform.get(),
-            row_batch: self.row_batch.get(),
-            argmax_hits: self.argmax_hits.get(),
-            argmax_misses: self.argmax_misses.get(),
-            argmax_invalidations: self.argmax_invalidations.get(),
-            ..CounterTotals::default()
-        }
+        self.totals
     }
 }
 
@@ -324,19 +257,19 @@ impl MapCounters {
 /// one increment at a site that just paid a reallocation.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BandStats {
-    pub(crate) growths: Cell<u64>,
-    pub(crate) densifications: Cell<u64>,
+    pub(crate) growths: u64,
+    pub(crate) densifications: u64,
 }
 
 impl BandStats {
     #[inline]
-    pub(crate) fn grew(&self) {
-        bump(&self.growths, 1);
+    pub(crate) fn grew(&mut self) {
+        self.growths += 1;
     }
 
     #[inline]
-    pub(crate) fn densified(&self) {
-        bump(&self.densifications, 1);
+    pub(crate) fn densified(&mut self) {
+        self.densifications += 1;
     }
 }
 
@@ -348,18 +281,18 @@ mod tests {
     fn totals_delta_and_merge_are_fieldwise() {
         let mut a = CounterTotals {
             set: 10,
-            argmax_hits: 4,
+            row_batch: 4,
             ..CounterTotals::default()
         };
         let b = CounterTotals {
             set: 3,
-            argmax_hits: 1,
+            row_batch: 1,
             band_growths: 2,
             ..CounterTotals::default()
         };
         let d = a.delta_since(&b);
         assert_eq!(d.set, 7);
-        assert_eq!(d.argmax_hits, 3);
+        assert_eq!(d.row_batch, 3);
         assert_eq!(d.band_growths, 0); // saturating
         a.merge(&b);
         assert_eq!(a.set, 13);
@@ -369,17 +302,14 @@ mod tests {
     }
 
     #[test]
-    fn weight_ops_and_hit_rate() {
+    fn weight_ops_sums_the_op_kinds() {
         let t = CounterTotals {
             set: 2,
             row_batch: 3,
-            argmax_hits: 3,
-            argmax_misses: 1,
+            band_growths: 7,
             ..CounterTotals::default()
         };
         assert_eq!(t.weight_ops(), 5);
-        assert_eq!(t.argmax_hit_rate(), Some(0.75));
-        assert_eq!(CounterTotals::default().argmax_hit_rate(), None);
     }
 
     #[test]
@@ -390,13 +320,10 @@ mod tests {
         c.enable();
         c.op(OpKind::Set);
         c.op(OpKind::RowBatch);
-        c.argmax_read(true);
-        c.invalidations(2);
         let t = c.totals();
         assert_eq!(t.set, 1);
         assert_eq!(t.row_batch, 1);
-        assert_eq!(t.argmax_hits, 1);
-        assert_eq!(t.argmax_invalidations, 2);
+        assert_eq!(t.weight_ops(), 2);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   legacy [`PassProfile`](crate::PassProfile) is now just one sink
 //!   implementation, so `--profile` output is unchanged.
 //! - **Counters** — hot-path event counts batched per pass
-//!   ([`CounterTotals`]): weight ops by kind, argmax-cache
-//!   hits/misses/invalidations, band growths/densifications, boundary
+//!   ([`CounterTotals`]): weight ops by kind, band
+//!   growths/densifications, boundary
 //!   COMMs, and referee verdicts. The disabled path costs one
 //!   predictable branch per already-cold call site; enabling is
 //!   opt-in per [`PreferenceMap`](crate::PreferenceMap).

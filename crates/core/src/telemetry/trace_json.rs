@@ -85,7 +85,7 @@ impl ChromeTraceSink {
     }
 
     fn push_counter_groups(&mut self, suffix: &str, delta: &CounterTotals, ts_us: f64) {
-        let groups: [(&str, &[(&str, u64)]); 7] = [
+        let groups: [(&str, &[(&str, u64)]); 6] = [
             (
                 "weight ops",
                 &[
@@ -98,14 +98,6 @@ impl ChromeTraceSink {
                     ("normalize", delta.normalize),
                     ("reset_uniform", delta.reset_uniform),
                     ("row_batch", delta.row_batch),
-                ],
-            ),
-            (
-                "argmax cache",
-                &[
-                    ("hits", delta.argmax_hits),
-                    ("misses", delta.argmax_misses),
-                    ("invalidations", delta.argmax_invalidations),
                 ],
             ),
             (

@@ -17,18 +17,20 @@
 //! derived quantities (`preferred_cluster`, `preferred_time`,
 //! `runnerup_cluster`, `confidence`). Marginal sums over time and
 //! clusters are maintained incrementally so the derived quantities are
-//! cheap, as the paper prescribes.
+//! cheap, as the paper prescribes: each is a fresh scan of one row's
+//! C cluster marginals or its band of time marginals, so its answer
+//! depends only on the map's state, never on which reads came before.
 //!
 //! # One row implementation
 //!
 //! [`PreferenceMap`] owns the per-instruction arrays (rows, marginals,
-//! totals, scale factors, windows, feasibility flags, argmax caches)
-//! plus the recording log and the telemetry counters. Every per-row
+//! totals, scale factors, windows, feasibility flags) plus the
+//! recording log and the telemetry counters. Every per-row
 //! operation is written once, in the private `row` module, as a map
 //! method taking a row index; the public methods here take an
 //! [`InstrId`]. Each primitive mutation passes one hook site,
 //! `PreferenceMap::mutate`, which appends it to the recording log and
-//! then counts it (op kind plus argmax-cache invalidations).
+//! then counts it by op kind.
 //!
 //! # The banded representation
 //!
@@ -82,33 +84,18 @@
 //! `[SCALE_FOLD_MIN, SCALE_FOLD_MAX]`, keeping every quantity
 //! comfortably inside `f64` range. `materialize` is also the escape
 //! hatch for external readers that want plain eagerly-normalized rows.
-//!
-//! # Incremental argmax caches
-//!
-//! The derived argmax quantities (`preferred_cluster`,
-//! `runnerup_cluster`, `confidence`, `preferred_time`) are memoized per
-//! instruction and invalidated on writes, so the driver's per-pass
-//! convergence trace and read-heavy passes (PATHPROP walks, COMM
-//! reinforcement) stop paying an O(C) or O(T) scan per call. The
-//! invalidation rules are conservative and *exact* with one documented
-//! exception: a cached argmax is kept across `normalize`, and because
-//! tie-breaking compares against an absolute `EPS`, rescaling can in
-//! principle flip a comparison for two entries within `EPS` of each
-//! other. Such sub-`EPS` ties are semantically arbitrary (the paper's
-//! tie-break is "pick either"), and every cached answer is still the
-//! argmax up to `EPS` at the time it was computed.
 
-mod argmax;
 mod row;
-
-use std::cell::Cell;
 
 use convergent_ir::{ClusterId, Cycle, InstrId};
 
-use argmax::{ArgmaxCache, EPS, NO_CLUSTER};
 use row::Row;
 
 use crate::telemetry::{BandStats, CounterTotals, MapCounters, OpKind};
+
+/// Weights below this threshold are treated as zero when normalizing,
+/// and argmax scans treat values within it of the leader as ties.
+pub(crate) const EPS: f64 = 1e-12;
 
 /// Bounds on the pending scale factor; `normalize` folds the factor
 /// into the stored row (`materialize`) when it leaves this range so
@@ -116,6 +103,12 @@ use crate::telemetry::{BandStats, CounterTotals, MapCounters, OpKind};
 pub(crate) const SCALE_FOLD_MIN: f64 = 1e-90;
 /// See [`SCALE_FOLD_MIN`].
 pub(crate) const SCALE_FOLD_MAX: f64 = 1e90;
+
+/// The id of cluster index `c` (`PreferenceMap::new` bounds the
+/// cluster count below `u16::MAX`).
+fn cluster_id(c: usize) -> ClusterId {
+    ClusterId::new(c as u16)
+}
 
 /// One state-changing [`PreferenceMap`] operation, as captured by the
 /// recording proxy ([`PreferenceMap::record`]).
@@ -279,7 +272,6 @@ pub struct PreferenceMap {
     window: Vec<(u32, u32)>,
     /// Feasibility flags, flat `n_instrs × n_clusters`.
     cluster_ok: Vec<bool>,
-    argmax: Vec<Cell<ArgmaxCache>>,
     /// Band growth/densification events, counted always.
     stats: BandStats,
     /// Reused by `set_cluster_marginal` to avoid per-call allocation.
@@ -304,7 +296,7 @@ impl PreferenceMap {
         assert!(n_instrs > 0, "need at least one instruction");
         assert!(n_clusters > 0, "need at least one cluster");
         assert!(n_slots > 0, "need at least one time slot");
-        assert!(n_clusters < NO_CLUSTER as usize, "too many clusters");
+        assert!(n_clusters < usize::from(u16::MAX), "too many clusters");
         let per = 1.0 / (n_clusters * n_slots) as f64;
         PreferenceMap {
             n_clusters,
@@ -321,7 +313,6 @@ impl PreferenceMap {
             scale: vec![1.0; n_instrs],
             window: vec![(0, n_slots as u32 - 1); n_instrs],
             cluster_ok: vec![true; n_instrs * n_clusters],
-            argmax: vec![Cell::new(ArgmaxCache::INVALID); n_instrs],
             stats: BandStats::default(),
             scratch: Vec::new(),
             log: None,
@@ -329,10 +320,9 @@ impl PreferenceMap {
         }
     }
 
-    /// Enables the telemetry hot-path counters (weight ops by kind,
-    /// argmax-cache hits/misses/invalidations). Counting never changes
-    /// weights, so schedules are bit-identical with counters on or
-    /// off.
+    /// Enables the telemetry hot-path counters (weight ops by kind).
+    /// Counting never changes weights, so schedules are bit-identical
+    /// with counters on or off.
     pub fn enable_counters(&mut self) {
         self.counters.enable();
     }
@@ -350,8 +340,8 @@ impl PreferenceMap {
     #[must_use]
     pub fn counter_totals(&self) -> CounterTotals {
         let mut t = self.counters.totals();
-        t.band_growths = self.stats.growths.get();
-        t.band_densifications = self.stats.densifications.get();
+        t.band_growths = self.stats.growths;
+        t.band_densifications = self.stats.densifications;
         t
     }
 
@@ -366,20 +356,13 @@ impl PreferenceMap {
         self.counted(op.kind(), op.instr().index(), body);
     }
 
-    /// Runs `body` on row `r` and counts it as one `kind` op plus the
-    /// argmax-cache halves it invalidated (valid before, invalid
-    /// after). The bulk row operations enter here directly: they log
-    /// their per-cell decomposition instead of a row op.
+    /// Runs `body` on row `r` and counts it as one `kind` op. The bulk
+    /// row operations enter here directly: they log their per-cell
+    /// decomposition instead of a row op.
     #[inline(always)]
     fn counted(&mut self, kind: OpKind, r: usize, body: impl FnOnce(&mut Self, usize)) {
-        let pre = self.counters.enabled().then(|| self.cache_flags(r));
         body(self, r);
-        if let Some((cluster, time)) = pre {
-            let (now_cluster, now_time) = self.cache_flags(r);
-            self.counters.op(kind);
-            self.counters
-                .invalidations(u64::from(cluster && !now_cluster) + u64::from(time && !now_time));
-        }
+        self.counters.op(kind);
     }
 
     /// Number of instructions.
@@ -562,25 +545,26 @@ impl PreferenceMap {
     /// Ties break toward the lowest cluster id.
     #[must_use]
     pub fn preferred_cluster(&self, i: InstrId) -> ClusterId {
-        ClusterId::new(self.top2(i.index()).0)
+        cluster_id(self.top_cluster(i.index()))
     }
 
     /// The second-best cluster, or `None` on single-cluster machines.
     #[must_use]
     pub fn runnerup_cluster(&self, i: InstrId) -> Option<ClusterId> {
-        if self.n_clusters < 2 {
-            return None;
-        }
-        let (_, second) = self.top2(i.index());
-        debug_assert_ne!(second, NO_CLUSTER);
-        Some(ClusterId::new(second))
+        self.top2(i.index()).1.map(cluster_id)
     }
 
     /// `argmax_t Σ_c W[i, c, t]` — the paper's `preferred_time`.
     /// Ties break toward the earliest slot.
     #[must_use]
     pub fn preferred_time(&self, i: InstrId) -> Cycle {
-        Cycle::new(self.top_time(i.index()))
+        let r = i.index();
+        Cycle::new(row::scan_top_time(
+            &self.rows[r],
+            self.window[r],
+            self.scale[r],
+            self.n_slots,
+        ))
     }
 
     /// The paper's confidence: the ratio of the top two cluster
@@ -588,17 +572,10 @@ impl PreferenceMap {
     /// or its weight is (numerically) zero.
     #[must_use]
     pub fn confidence(&self, i: InstrId) -> f64 {
-        let top = self.cluster_weight(i, self.preferred_cluster(i));
-        match self.runnerup_cluster(i) {
-            Some(r) => {
-                let second = self.cluster_weight(i, r);
-                if second <= EPS {
-                    f64::INFINITY
-                } else {
-                    top / second
-                }
-            }
-            None => f64::INFINITY,
+        let (top, second) = self.top2(i.index());
+        match second.map(|c| self.cluster_weight(i, cluster_id(c))) {
+            Some(second) if second > EPS => self.cluster_weight(i, cluster_id(top)) / second,
+            _ => f64::INFINITY,
         }
     }
 
@@ -778,8 +755,7 @@ impl PreferenceMap {
     // ---- bulk row operations ----
     //
     // Each bulk method is bit-exact with the per-cell decomposition its
-    // doc comment names: same visiting order, same arithmetic, one
-    // argmax-cache invalidation per row instead of per cell. While the
+    // doc comment names: same visiting order, same arithmetic. While the
     // recording proxy is active they *perform* the decomposition, so
     // logs stay replayable from primitive [`WeightOp`]s alone.
 
@@ -1147,9 +1123,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_argmax_tracks_writes() {
+    fn argmax_tracks_writes() {
         let mut w = PreferenceMap::new(1, 4, 6);
-        // Prime the caches.
+        // Read before any write.
         assert_eq!(w.preferred_cluster(i(0)), c(0));
         assert_eq!(w.preferred_time(i(0)), Cycle::ZERO);
         // A write that changes the answers must be reflected.
@@ -1157,7 +1133,7 @@ mod tests {
         assert_eq!(w.preferred_cluster(i(0)), c(2));
         w.scale_time(i(0), 4, 5.0);
         assert_eq!(w.preferred_time(i(0)), Cycle::new(4));
-        // Boosting the current leaders keeps the cache valid and true.
+        // Boosting the current leaders keeps them in the lead.
         w.scale_cluster(i(0), c(2), 2.0);
         w.scale_time(i(0), 4, 2.0);
         assert_eq!(w.preferred_cluster(i(0)), c(2));
@@ -1166,7 +1142,7 @@ mod tests {
         w.normalize_all();
         assert_eq!(w.preferred_cluster(i(0)), c(2));
         assert_eq!(w.preferred_time(i(0)), Cycle::new(4));
-        // Runner-up and confidence come from the same cache.
+        // Runner-up and confidence come from the same scan.
         assert_ne!(w.runnerup_cluster(i(0)), Some(c(2)));
         assert!(w.confidence(i(0)) > 1.0);
         // A cell-level boost of another column updates the argmax.
@@ -1177,6 +1153,25 @@ mod tests {
         w.reset_uniform(i(0));
         assert_eq!(w.preferred_cluster(i(0)), c(0));
         assert_eq!(w.preferred_time(i(0)), Cycle::ZERO);
+    }
+
+    /// An answer depends on the map's state only, not on which reads
+    /// came before: two clusters a relative 1e-9 apart sit inside the
+    /// `EPS` tie band before `normalize` (marginals of order 1e-3) and
+    /// outside it after, so a read before normalizing must not pin the
+    /// pre-normalize tie-break.
+    #[test]
+    fn answers_do_not_depend_on_read_history() {
+        let mut fresh = PreferenceMap::new(1, 2, 1);
+        fresh.scale_cluster(i(0), c(0), 1e-3);
+        fresh.scale_cluster(i(0), c(1), 1e-3 * (1.0 + 1e-9));
+        let mut read_first = fresh.clone();
+        assert_eq!(read_first.preferred_cluster(i(0)), c(0));
+        for w in [&mut fresh, &mut read_first] {
+            w.normalize(i(0));
+            assert_eq!(w.preferred_cluster(i(0)), c(1));
+            assert!(w.confidence(i(0)) >= 1.0, "{}", w.confidence(i(0)));
+        }
     }
 
     // ---- banded-specific behavior ----

@@ -19,12 +19,9 @@
 //! and all marginal summations here visit cells in the same order the
 //! dense loops do, so skipping the zeros changes no partial sum.
 
-use std::cell::Cell;
-
 use convergent_ir::ClusterId;
 
-use super::argmax::{self, ArgmaxCache, EPS};
-use super::{PreferenceMap, SCALE_FOLD_MAX, SCALE_FOLD_MIN};
+use super::{PreferenceMap, EPS, SCALE_FOLD_MAX, SCALE_FOLD_MIN};
 use crate::telemetry::BandStats;
 
 /// A dense block of `n_clusters × width` raw cells anchored at `lo`.
@@ -211,7 +208,7 @@ fn densify<'r>(
     row: &'r mut Row,
     window: (u32, u32),
     sums: &[f64],
-    stats: &BandStats,
+    stats: &mut BandStats,
 ) -> &'r mut Band {
     if let Row::Uniform { per, tsum } = *row {
         *row = Row::Band(Band::uniform(per, tsum, window, sums));
@@ -223,15 +220,12 @@ fn densify<'r>(
     }
 }
 
-/// [`argmax::note_time_write`] for a write to slot `t` of band `b`.
-fn note_time_write(cell: &Cell<ArgmaxCache>, b: &Band, t: usize, increased: bool, s: f64) {
-    argmax::note_time_write(cell, t, increased, s, |t| b.raw_time(t));
-}
-
 /// A fresh `preferred_time` scan of `row` under window `window` and
 /// pending scale `s`, computing exactly what the dense reference's
-/// full-slot scan would (see the comments inline).
-fn scan_top_time(row: &Row, window: (u32, u32), s: f64, n_slots: usize) -> u32 {
+/// full-slot scan would (see the comments inline). Ties go to the
+/// earliest slot.
+#[inline(always)]
+pub(super) fn scan_top_time(row: &Row, window: (u32, u32), s: f64, n_slots: usize) -> u32 {
     let best = match row {
         Row::Uniform { tsum, .. } => {
             let (lo, hi) = window;
@@ -335,39 +329,39 @@ impl PreferenceMap {
         }
     }
 
-    /// `(cluster_valid, time_valid)` of the argmax cache — the
-    /// telemetry layer's hit/miss/invalidation probe.
+    /// Row `r`'s preferred cluster: one pass over the cluster
+    /// marginals under the pending scale. A later cluster takes the
+    /// lead only by more than `EPS`, so ties go to the lowest id.
     #[inline(always)]
-    pub(super) fn cache_flags(&self, r: usize) -> (bool, bool) {
-        let c = self.argmax[r].get();
-        (c.cluster_valid, c.time_valid)
+    pub(super) fn top_cluster(&self, r: usize) -> usize {
+        let (sums, s) = (self.sums(r), self.scale[r]);
+        let mut best = 0;
+        for c in 1..sums.len() {
+            if sums[c] * s > sums[best] * s + EPS {
+                best = c;
+            }
+        }
+        best
     }
 
-    /// The `(top, runner-up)` clusters, counting the read as a cache
-    /// hit or miss.
+    /// Row `r`'s preferred cluster and the best of the rest (`None` on
+    /// a one-cluster machine), whose ties within `EPS` also go to the
+    /// lowest id.
     #[inline(always)]
-    pub(super) fn top2(&self, r: usize) -> (u16, u16) {
-        if self.counters.enabled() {
-            self.counters.argmax_read(self.cache_flags(r).0);
+    pub(super) fn top2(&self, r: usize) -> (usize, Option<usize>) {
+        let (sums, s) = (self.sums(r), self.scale[r]);
+        let best = self.top_cluster(r);
+        let mut second: Option<usize> = None;
+        for (c, &v) in sums.iter().enumerate() {
+            if c == best {
+                continue;
+            }
+            match second {
+                Some(b) if v * s <= sums[b] * s + EPS => {}
+                _ => second = Some(c),
+            }
         }
-        argmax::cluster_cache(&self.argmax[r], self.sums(r), self.scale[r])
-    }
-
-    /// The preferred time slot, counting the read as a cache hit or
-    /// miss.
-    #[inline(always)]
-    pub(super) fn top_time(&self, r: usize) -> u32 {
-        if self.counters.enabled() {
-            self.counters.argmax_read(self.cache_flags(r).1);
-        }
-        let mut cache = self.argmax[r].get();
-        if !cache.time_valid {
-            cache.top_time =
-                scan_top_time(&self.rows[r], self.window[r], self.scale[r], self.n_slots);
-            cache.time_valid = true;
-            self.argmax[r].set(cache);
-        }
-        cache.top_time
+        (best, second)
     }
 
     /// Shannon entropy (nats) of row `r`'s normalized cell
@@ -425,7 +419,7 @@ impl PreferenceMap {
             &mut self.rows[r],
             self.window[r],
             &self.cluster_sum[base..base + nc],
-            &self.stats,
+            &mut self.stats,
         );
         if b.grow(nc, self.n_slots, t) {
             self.stats.grew();
@@ -437,8 +431,6 @@ impl PreferenceMap {
         ts[off] += delta;
         self.cluster_sum[base + c] += delta;
         self.total[r] += delta;
-        argmax::note_cluster_write(&self.argmax[r], c, delta > 0.0);
-        note_time_write(&self.argmax[r], b, t, delta > 0.0, self.scale[r]);
     }
 
     #[inline(always)]
@@ -475,14 +467,12 @@ impl PreferenceMap {
             // re-sum the total from the marginals.
             let nc = self.n_clusters;
             self.total[r] = self.cluster_sum[r * nc..(r + 1) * nc].iter().sum();
-            argmax::invalidate_time(&self.argmax[r]);
         }
     }
 
     /// The cell half of `scale_cluster`: rescales cluster `c`'s cells,
-    /// time marginals and cluster marginal, and keeps the cluster half
-    /// of the argmax cache. Leaves the total and the time half of the
-    /// cache to the caller; returns whether anything changed.
+    /// time marginals and cluster marginal. Leaves the total to the
+    /// caller; returns whether anything changed.
     #[inline(always)]
     fn scale_cluster_cells(&mut self, r: usize, c: usize, factor: f64) -> bool {
         let nc = self.n_clusters;
@@ -498,7 +488,6 @@ impl PreferenceMap {
                 // every window slot, so one shared marginal suffices.
                 *tsum += 0.0 - *per;
                 self.cluster_sum[base + c] = 0.0;
-                argmax::note_cluster_write(&self.argmax[r], c, false);
                 return true;
             }
         }
@@ -506,11 +495,10 @@ impl PreferenceMap {
             &mut self.rows[r],
             self.window[r],
             &self.cluster_sum[base..base + nc],
-            &self.stats,
+            &mut self.stats,
         );
         let bw = b.width();
         let (w, ts) = b.parts_mut();
-        let old_sum = self.cluster_sum[base + c];
         let mut new_sum = 0.0;
         let mut changed = false;
         for (cell, ts) in w[c * bw..(c + 1) * bw].iter_mut().zip(ts.iter_mut()) {
@@ -525,7 +513,6 @@ impl PreferenceMap {
         }
         if changed {
             self.cluster_sum[base + c] = new_sum;
-            argmax::note_cluster_write(&self.argmax[r], c, new_sum > old_sum);
         }
         changed
     }
@@ -552,9 +539,6 @@ impl PreferenceMap {
         }
         if changed {
             self.total[r] = self.cluster_sum[r * nc..(r + 1) * nc].iter().sum();
-            // Time marginals moved in both directions across clusters;
-            // no cheap exact rule (same as `scale_cluster`).
-            argmax::invalidate_time(&self.argmax[r]);
         }
     }
 
@@ -576,7 +560,7 @@ impl PreferenceMap {
             &mut self.rows[r],
             self.window[r],
             &self.cluster_sum[base..base + nc],
-            &self.stats,
+            &mut self.stats,
         );
         if !b.contains(t) {
             return; // all cells at `t` are zero
@@ -602,8 +586,6 @@ impl PreferenceMap {
         }
         ts[off] = new_sum;
         self.total[r] += new_sum - old_sum;
-        argmax::invalidate_cluster(&self.argmax[r]);
-        note_time_write(&self.argmax[r], b, tt, new_sum > old_sum, self.scale[r]);
     }
 
     #[inline(always)]
@@ -651,11 +633,6 @@ impl PreferenceMap {
             }
         }
         self.total[r] = sums.iter().sum();
-        argmax::invalidate_cluster(&self.argmax[r]);
-        let cache = self.argmax[r].get();
-        if cache.time_valid && !(lo..=hi).contains(&cache.top_time) {
-            argmax::invalidate_time(&self.argmax[r]);
-        }
     }
 
     #[inline(always)]
@@ -703,7 +680,6 @@ impl PreferenceMap {
         }
         self.total[r] *= s;
         self.scale[r] = 1.0;
-        // Visible values are unchanged, so cached argmaxes stay valid.
     }
 
     #[inline(always)]
@@ -732,13 +708,12 @@ impl PreferenceMap {
         };
         self.total[r] = 1.0;
         self.scale[r] = 1.0;
-        self.argmax[r].set(ArgmaxCache::INVALID);
     }
 
     /// Adds `amplitude · draws[k]` to every feasible in-window cell of
     /// row `r`, visiting clusters ascending and slots `lo..=hi` within
     /// each — the exact order (and arithmetic) of the per-cell NOISE
-    /// loop. One cache invalidation per row instead of per cell.
+    /// loop.
     #[inline(always)]
     pub(super) fn row_noise_fill(&mut self, r: usize, amplitude: f64, draws: &[f64]) {
         assert!(
@@ -764,7 +739,7 @@ impl PreferenceMap {
         // conversion, so the result stays bit-identical to the
         // per-cell loop's.
         let sums = &mut self.cluster_sum[base..base + nc];
-        let b = densify(&mut self.rows[r], (lo, hi), sums, &self.stats);
+        let b = densify(&mut self.rows[r], (lo, hi), sums, &mut self.stats);
         // The band always covers the window, so in-window writes never
         // grow it: stream straight over the flat cells with the
         // marginals in locals (same accumulation order as the per-cell
@@ -774,7 +749,6 @@ impl PreferenceMap {
         let hi_off = hi as usize - b.lo as usize;
         let (bcells, bts) = b.parts_mut();
         let mut feasible_draws = draws.chunks_exact(width);
-        let mut any = false;
         let mut tot = self.total[r];
         for (c, csum) in sums.iter_mut().enumerate() {
             if !ok[c] {
@@ -794,17 +768,9 @@ impl PreferenceMap {
                     *ts += d;
                     *csum += d;
                     tot += d;
-                    any = true;
                 }
             }
         }
         self.total[r] = tot;
-        if any {
-            // Noise perturbs every feasible cell in both directions
-            // across every cluster; neither half of the cache has a
-            // cheap keep rule, so invalidate blindly.
-            argmax::invalidate_cluster(&self.argmax[r]);
-            argmax::invalidate_time(&self.argmax[r]);
-        }
     }
 }

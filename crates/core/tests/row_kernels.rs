@@ -18,8 +18,8 @@
 //! every op, and that both banded maps' `cluster_marginals_into`
 //! prologue sweep matches its documented per-cell form computed on the
 //! reference. A bulk kernel that reorders a floating-point
-//! accumulation, skips an argmax-cache update, or mishandles a band
-//! edge diverges here.
+//! accumulation, skips a marginal update, or mishandles a band edge
+//! diverges here.
 //!
 //! These also run under `cargo miri test` (the `--miri` path of
 //! `scripts/check.sh`) to catch undefined behaviour in the

@@ -2,10 +2,10 @@
 //! `n_clusters × n_slots` row per instruction, exactly the layout the
 //! banded `PreferenceMap` compresses.
 //!
-//! It keeps the map's lazy scale factor, fold bounds and argmax-cache
-//! keep rules (copied, not shared), so under the same primitive op
-//! sequence every cell, marginal, total and argmax must match the
-//! banded map **bit for bit**. Differential tests drive it either with
+//! It keeps the map's lazy scale factor and fold bounds (copied, not
+//! shared), and its argmaxes are plain scans of the dense marginals, so
+//! under the same primitive op sequence every cell, marginal, total and
+//! argmax must match the banded map **bit for bit**. Differential tests drive it either with
 //! per-cell calls or by replaying a recording map's [`WeightOp`] log,
 //! then compare with [`assert_matches`].
 //!
@@ -13,8 +13,6 @@
 //! reference_map;` — it is shared by the core and root test suites.
 
 #![allow(dead_code)]
-
-use std::cell::Cell;
 
 use convergent_core::{PreferenceMap, WeightOp};
 use convergent_ir::{ClusterId, Cycle, InstrId};
@@ -24,11 +22,8 @@ const EPS: f64 = 1e-12;
 /// The map's fold bounds for the pending scale factor.
 const SCALE_FOLD_MIN: f64 = 1e-90;
 const SCALE_FOLD_MAX: f64 = 1e90;
-/// "No runner-up" in the cluster argmax cache.
-const NO_CLUSTER: u16 = u16::MAX;
-
 /// Dense storage; the visible weight is `w[k] * scale[i]`, likewise
-/// for the marginals and the total. `None` marks a stale argmax.
+/// for the marginals and the total.
 #[derive(Clone, Debug)]
 pub struct ReferenceMap {
     n_clusters: usize,
@@ -40,8 +35,6 @@ pub struct ReferenceMap {
     scale: Vec<f64>,
     window: Vec<(u32, u32)>,
     cluster_ok: Vec<bool>,
-    top2: Vec<Cell<Option<(u16, u16)>>>,
-    top_time: Vec<Cell<Option<u32>>>,
 }
 
 impl ReferenceMap {
@@ -58,8 +51,6 @@ impl ReferenceMap {
             scale: vec![1.0; n_instrs],
             window: vec![(0, n_slots as u32 - 1); n_instrs],
             cluster_ok: vec![true; n_instrs * n_clusters],
-            top2: vec![Cell::new(None); n_instrs],
-            top_time: vec![Cell::new(None); n_instrs],
         }
     }
 
@@ -111,7 +102,7 @@ impl ReferenceMap {
     }
 
     /// Stores raw value `raw` at one cell, delta-maintaining the
-    /// marginals and applying the single-cell argmax keep rules.
+    /// marginals.
     fn write_cell(&mut self, i: InstrId, c: ClusterId, t: u32, raw: f64) {
         let (ii, k) = (i.index(), self.idx(i, c, t));
         let delta = raw - self.w[k];
@@ -122,15 +113,12 @@ impl ReferenceMap {
         self.cluster_sum[ii * self.n_clusters + c.index()] += delta;
         self.time_sum[ii * self.n_slots + t as usize] += delta;
         self.total[ii] += delta;
-        self.note_cluster_write(ii, c.index(), delta > 0.0);
-        self.note_time_write(ii, t as usize, delta > 0.0);
     }
 
     pub fn scale_cluster(&mut self, i: InstrId, c: ClusterId, factor: f64) {
         assert!(factor.is_finite() && factor >= 0.0, "factors are ≥ 0");
         let (ii, nc, ns) = (i.index(), self.n_clusters, self.n_slots);
         let base = (ii * nc + c.index()) * ns;
-        let old_sum = self.cluster_sum[ii * nc + c.index()];
         let (mut new_sum, mut changed) = (0.0, false);
         for t in 0..ns {
             let (old, new) = (self.w[base + t], self.w[base + t] * factor);
@@ -147,8 +135,6 @@ impl ReferenceMap {
         // Exact rebuild of the scaled marginal and the total.
         self.cluster_sum[ii * nc + c.index()] = new_sum;
         self.total[ii] = self.cluster_sum[ii * nc..(ii + 1) * nc].iter().sum();
-        self.note_cluster_write(ii, c.index(), new_sum > old_sum);
-        self.top_time[ii].set(None);
     }
 
     pub fn scale_time(&mut self, i: InstrId, t: u32, factor: f64) {
@@ -171,8 +157,6 @@ impl ReferenceMap {
         }
         self.time_sum[ii * self.n_slots + t as usize] = new_sum;
         self.total[ii] += new_sum - old_sum;
-        self.top2[ii].set(None);
-        self.note_time_write(ii, t as usize, new_sum > old_sum);
     }
 
     /// Intersects the window with `[lo, hi]`, zeroing cells outside.
@@ -200,13 +184,6 @@ impl ReferenceMap {
                     self.w[base..base + ns].iter().fold(0.0, |sum, &v| sum + v);
             }
             self.total[ii] = self.cluster_sum[ii * nc..(ii + 1) * nc].iter().sum();
-            self.top2[ii].set(None);
-            if self.top_time[ii]
-                .get()
-                .is_some_and(|t| !(lo..=hi).contains(&t))
-            {
-                self.top_time[ii].set(None);
-            }
         }
     }
 
@@ -235,12 +212,10 @@ impl ReferenceMap {
         self.total[i.index()] * self.scale[i.index()]
     }
 
-    /// `(top, second)` cluster, filling the cache if stale.
-    fn top2(&self, i: InstrId) -> (u16, u16) {
+    /// The `(top, runner-up)` clusters; each scan breaks ties within
+    /// `EPS` toward the lowest id.
+    fn top2(&self, i: InstrId) -> (u16, Option<u16>) {
         let (ii, nc, s) = (i.index(), self.n_clusters, self.scale[i.index()]);
-        if let Some(cached) = self.top2[ii].get() {
-            return cached;
-        }
         let sums = &self.cluster_sum[ii * nc..(ii + 1) * nc];
         let mut best = 0usize;
         for c in 1..nc {
@@ -255,9 +230,7 @@ impl ReferenceMap {
                 _ => second = Some(c),
             }
         }
-        let fresh = (best as u16, second.map_or(NO_CLUSTER, |c| c as u16));
-        self.top2[ii].set(Some(fresh));
-        fresh
+        (best as u16, second.map(|c| c as u16))
     }
 
     pub fn preferred_cluster(&self, i: InstrId) -> ClusterId {
@@ -265,14 +238,11 @@ impl ReferenceMap {
     }
 
     pub fn runnerup_cluster(&self, i: InstrId) -> Option<ClusterId> {
-        (self.n_clusters >= 2).then(|| ClusterId::new(self.top2(i).1))
+        self.top2(i).1.map(ClusterId::new)
     }
 
     pub fn preferred_time(&self, i: InstrId) -> Cycle {
         let (ii, ns, s) = (i.index(), self.n_slots, self.scale[i.index()]);
-        if let Some(cached) = self.top_time[ii].get() {
-            return Cycle::new(cached);
-        }
         let sums = &self.time_sum[ii * ns..(ii + 1) * ns];
         let mut best = 0usize;
         for t in 1..ns {
@@ -280,7 +250,6 @@ impl ReferenceMap {
                 best = t;
             }
         }
-        self.top_time[ii].set(Some(best as u32));
         Cycle::new(best as u32)
     }
 
@@ -313,7 +282,7 @@ impl ReferenceMap {
         }
     }
 
-    /// Folds the pending scale into the stored row; argmaxes survive.
+    /// Folds the pending scale into the stored row.
     pub fn materialize(&mut self, i: InstrId) {
         let (ii, nc, ns) = (i.index(), self.n_clusters, self.n_slots);
         let s = self.scale[ii];
@@ -359,49 +328,6 @@ impl ReferenceMap {
         }
         self.total[ii] = 1.0;
         self.scale[ii] = 1.0;
-        self.top2[ii].set(None);
-        self.top_time[ii].set(None);
-    }
-
-    /// Keeps the cluster cache only when a single-cluster change
-    /// provably leaves the scan result intact.
-    fn note_cluster_write(&self, ii: usize, c: usize, increased: bool) {
-        if let Some((top, second)) = self.top2[ii].get() {
-            let (top, second) = (top as usize, second as usize);
-            let keep = if increased {
-                c == top
-            } else {
-                c != top && second != NO_CLUSTER as usize && c != second
-            };
-            if !keep {
-                self.top2[ii].set(None);
-            }
-        }
-    }
-
-    /// The single-slot time keep rule, including the in-place update
-    /// when a slot overtakes the leader by more than `EPS`.
-    fn note_time_write(&self, ii: usize, t: usize, increased: bool) {
-        let Some(top) = self.top_time[ii].get().map(|top| top as usize) else {
-            return;
-        };
-        if !increased {
-            // Only a falling leader can change the scan.
-            if t == top {
-                self.top_time[ii].set(None);
-            }
-            return;
-        }
-        if t == top {
-            return;
-        }
-        let (s, base) = (self.scale[ii], ii * self.n_slots);
-        let (vt, vtop) = (self.time_sum[base + t] * s, self.time_sum[base + top] * s);
-        if vt > vtop + EPS {
-            self.top_time[ii].set(Some(t as u32));
-        } else if t < top && vt > vtop - EPS {
-            self.top_time[ii].set(None);
-        }
     }
 }
 

@@ -151,6 +151,14 @@ impl<S: Strategy> StrategyObj<S::Value> for S {
     }
 }
 
+/// Boxes one `prop_oneof!` arm. The box's value type is the arm's
+/// `S::Value`, so the union's value type is inferred from the arms and
+/// not from how the test body uses the drawn value.
+#[doc(hidden)]
+pub fn union_arm<S: Strategy + 'static>(arm: S) -> Box<dyn StrategyObj<S::Value>> {
+    Box::new(arm)
+}
+
 /// Uniform choice between heterogeneous strategies with a common value
 /// type (what `prop_oneof!` builds).
 pub struct Union<T> {
@@ -322,7 +330,7 @@ pub mod prelude {
 macro_rules! prop_oneof {
     ($($arm:expr),+ $(,)?) => {
         $crate::Union::new(vec![
-            $(Box::new($arm) as Box<dyn $crate::StrategyObj<_>>),+
+            $($crate::union_arm($arm)),+
         ])
     };
 }
@@ -411,7 +419,7 @@ mod tests {
         ) {
             prop_assert!(v.len() >= 2 && v.len() < 5);
             for x in v {
-                prop_assert!(x < 2usize || (5usize..7).contains(&x));
+                prop_assert!(x < 2 || (5..7).contains(&x));
             }
         }
 

@@ -345,13 +345,10 @@ fn convergent_driver(
 }
 
 /// Renders a captured telemetry buffer as the `"telemetry"` JSON
-/// object the `--json` reports embed: counter totals (plus the derived
-/// argmax hit rate) and per-pass convergence metrics.
+/// object the `--json` reports embed: counter totals and per-pass
+/// convergence metrics.
 fn telemetry_to_json(buf: &TelemetryBuffer) -> String {
     let totals = buf.counter_total();
-    let hit_rate = totals
-        .argmax_hit_rate()
-        .map_or_else(|| "null".to_string(), |r| format!("{r:.6}"));
     let convergence: Vec<String> = buf
         .convergence_entries()
         .map(|(path, m)| {
@@ -363,7 +360,7 @@ fn telemetry_to_json(buf: &TelemetryBuffer) -> String {
         })
         .collect();
     format!(
-        "{{\"counters\":{},\"argmax_hit_rate\":{hit_rate},\"convergence\":[{}]}}",
+        "{{\"counters\":{},\"convergence\":[{}]}}",
         totals.to_json(),
         convergence.join(",")
     )

@@ -416,7 +416,7 @@ proptest! {
     /// The heart of the lazy-normalization rework: under arbitrary op
     /// streams the lazy map must agree with an eagerly-normalized
     /// reference to 1e-9 — values, marginals, totals, windows, and the
-    /// *value* of every cached argmax (argmax indices may differ only
+    /// *value* of every argmax (argmax indices may differ only
     /// on sub-EPS ties, so they are compared by optimality, not id).
     #[test]
     fn lazy_map_matches_eager_reference(
@@ -512,7 +512,7 @@ proptest! {
                 let (a, b) = (lazy.total(id), eager.total(i));
                 prop_assert!((a - b).abs() < 1e-9, "total[{i}]: {a} vs {b} after {op:?}");
                 prop_assert_eq!(lazy.window(id), eager.window[i]);
-                // Cached argmaxes must be value-optimal against the
+                // The argmaxes must be value-optimal against the
                 // eager marginals.
                 let pref = lazy.cluster_weight(id, lazy.preferred_cluster(id));
                 let best = (0..C).map(|c| eager.cluster_weight(i, c)).fold(f64::MIN, f64::max);
