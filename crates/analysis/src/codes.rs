@@ -52,14 +52,16 @@ pub enum Code {
     /// machine's total register count.
     PressureOverRegisters,
     /// `CS040`: the graph splits into several weakly-connected
-    /// components but one giant component dominates; region sharding
-    /// cannot balance the pieces without articulation cuts.
+    /// components but one giant component holds more than 3/4 of the
+    /// instructions; packing components cannot balance the shards, so
+    /// region sharding has to level-chop the giant.
     DegenerateShardStructure,
-    /// `CS041`: the graph exceeds the default region-size target but
-    /// the best recursive cut the decomposer finds is degenerate —
-    /// mostly cross-shard edges or one shard holding nearly the whole
-    /// graph — so sharded scheduling will fall back to a monolithic
-    /// schedule.
+    /// `CS041`: the graph exceeds the region-size target but the
+    /// governed cut search the sharded driver runs
+    /// (`convergent_ir::plan_regions`, target doubling included)
+    /// accepts no cut — every cut tried is degenerate, mostly
+    /// cross-shard edges or one shard holding nearly the whole graph —
+    /// so sharded scheduling will fall back to a monolithic schedule.
     DegenerateRegionCut,
     /// `CS050`: the latency table reports zero latency for a
     /// non-communication operation class used by the graph.

@@ -386,9 +386,9 @@ fn lint_pedantic(
         ));
     }
     // Degenerate component structure (CS040): more than one
-    // weakly-connected component, but one giant piece dominates —
-    // mirrors the decomposer's 3/4 giant threshold, where region
-    // sharding falls back to articulation cuts to make progress.
+    // weakly-connected component, but one giant piece holds more than
+    // 3/4 of the graph, so packing components cannot balance shards
+    // and region sharding has to level-chop the giant.
     let components = convergent_ir::weakly_connected_components(dag);
     if components.len() > 1 {
         let giant = components.iter().map(Vec::len).max().unwrap_or(0);
@@ -407,41 +407,30 @@ fn lint_pedantic(
     // Degenerate region cut (CS041): the graph exceeds the effective
     // region-size target (the `--region-size` override when given,
     // the scheduler default otherwise), so a sharded run would try to
-    // cut it — but the best decomposition is one the driver's cut
-    // governor rejects (mirrored here because `convergent-analysis`
-    // cannot depend on the scheduler crate): more than half of all
-    // edges crossing shards, or the largest shard still above 15/16
-    // of the graph. Such a run silently falls back to a monolithic
+    // cut it — but the governed cut search the driver runs
+    // (`plan_regions`, coarsening included) settles on no cut the
+    // governor accepts. Such a run silently falls back to a monolithic
     // schedule.
-    let mut policy = convergent_ir::RegionPolicy::new(2);
-    if let Some(rs) = opts.region_size {
-        policy = policy.with_region_size(rs);
-    }
+    let policy = convergent_ir::RegionPolicy {
+        max_shards: 2,
+        region_size: opts.region_size,
+    };
     let target = policy.target_region_size();
     if dag.len() > target {
-        let dec = convergent_ir::decompose_with(dag, &policy);
-        let cross = dec.cross_edges().len();
-        let total = dag.edge_count();
-        let largest = dec
-            .shards()
-            .iter()
-            .map(convergent_ir::Shard::len)
-            .max()
-            .unwrap_or(dag.len());
-        let rejected = if dec.is_trivial() {
-            true
-        } else if cross == 0 {
-            false
-        } else {
-            cross * 2 > total || largest * 16 > dag.len() * 15
-        };
-        if rejected {
+        let plan = convergent_ir::plan_regions(dag, &policy);
+        if !plan.accepted() {
+            let a = plan
+                .assessment
+                .unwrap_or_else(|| convergent_ir::assess(dag, &plan.decomposition));
             report.push(Diagnostic::new(
                 Code::DegenerateRegionCut,
                 vec![],
                 format!(
-                    "graph holds {} instructions (region target {target}) but its best cut is degenerate ({cross} of {total} edges crossing, largest region {largest}); sharded runs will fall back to a monolithic schedule",
+                    "graph holds {} instructions (region target {target}) but its best cut is degenerate ({} of {} edges crossing, largest region {}); sharded runs will fall back to a monolithic schedule",
                     dag.len(),
+                    a.cross_edges,
+                    a.total_edges,
+                    a.largest_shard,
                 ),
             ));
         }

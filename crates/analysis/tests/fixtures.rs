@@ -7,7 +7,7 @@ use convergent_analysis::{
     analyze_pipeline, lint_dag, lint_raw, Code, ContractClaims, Determinism, EffectOp, Interval,
     LintOptions, PassEffect, PassSummary, Severity,
 };
-use convergent_ir::{parse_raw, ClusterId, DagBuilder, Opcode};
+use convergent_ir::{parse_raw, ClusterId, Dag, DagBuilder, Opcode};
 use convergent_machine::{
     Cluster, CommModel, FuKind, LatencyTable, Machine, MemoryModel, Topology,
 };
@@ -232,10 +232,9 @@ fn cs040_silent_on_balanced_components_and_connected_graphs() {
 #[test]
 fn cs041_degenerate_region_cut_is_pedantic_note() {
     // A complete bipartite layer (16 loads each feeding 2040 stores):
-    // larger than the default region target, 2-connected (no
-    // articulation vertex), and its only level cut is hopelessly
-    // unbalanced — the decomposer finds no profitable cut, so a
-    // sharded run falls back to a monolithic schedule.
+    // larger than the default region target, and its only level chop
+    // is hopelessly unbalanced — the decomposer finds no profitable
+    // cut, so a sharded run falls back to a monolithic schedule.
     let mut b = DagBuilder::new();
     let sources: Vec<_> = (0..16).map(|_| b.instr(Opcode::Load)).collect();
     for _ in 0..2040 {
@@ -255,26 +254,53 @@ fn cs041_degenerate_region_cut_is_pedantic_note() {
     assert_eq!(report.diagnostics()[0].severity, Severity::Note);
 }
 
-#[test]
-fn cs041_silent_when_the_cut_is_acceptable() {
-    // A 2100-instruction chain is over the region target but cuts
-    // cleanly at articulation vertices (balanced pieces, almost no
-    // cross edges): the governor would accept, so the lint stays
-    // quiet.
+/// A load, `n - 2` ALU ops and a store in one dependence chain.
+fn load_store_chain(n: usize) -> Dag {
     let mut b = DagBuilder::new();
     let mut prev = b.instr(Opcode::Load);
-    for k in 1..2100 {
-        let n = if k == 2099 {
+    for k in 1..n {
+        let next = if k == n - 1 {
             b.instr(Opcode::Store)
         } else {
             b.instr(Opcode::IntAlu)
         };
-        b.edge(prev, n).unwrap();
-        prev = n;
+        b.edge(prev, next).unwrap();
+        prev = next;
     }
-    let dag = b.build().unwrap();
+    b.build().unwrap()
+}
+
+#[test]
+fn cs041_silent_when_the_cut_is_acceptable() {
+    // A 4200-instruction chain is over the region target and level-
+    // chops cleanly into 2000 + 2000 + 200 (balanced enough, two cross
+    // edges): the governor accepts, so the lint stays quiet.
+    let dag = load_store_chain(4200);
     let report = lint_dag(&dag, &Machine::raw(4), LintOptions::pedantic());
     assert!(report.is_empty(), "{report:?}");
+}
+
+#[test]
+fn cs041_notes_a_chain_just_over_the_region_target() {
+    // A 2100-instruction chain level-chops into 2000 + 100, and a
+    // piece above 7/8 of the region is no progress, so the chain stays
+    // whole and a sharded run schedules it monolithically. Chains from
+    // 2001 to 2285 instructions all behave this way.
+    let dag = load_store_chain(2100);
+    let m = Machine::raw(4);
+    assert!(
+        lint_dag(&dag, &m, LintOptions::default()).is_empty(),
+        "default lint stays quiet"
+    );
+    let report = lint_dag(&dag, &m, LintOptions::pedantic());
+    assert_only(&report, Code::DegenerateRegionCut);
+    assert_eq!(report.diagnostics()[0].severity, Severity::Note);
+    assert!(
+        report.diagnostics()[0]
+            .message
+            .contains("0 of 2099 edges crossing, largest region 2100"),
+        "{report:?}"
+    );
 }
 
 #[test]

@@ -21,7 +21,8 @@
 
 use std::time::Instant;
 
-use convergent_bench::parallel::{jobs_from_args, run_cells};
+use convergent_bench::parallel::jobs_from_args;
+use convergent_core::parallel::run_cells;
 use convergent_core::ConvergentScheduler;
 use convergent_machine::Machine;
 use convergent_schedulers::{PccScheduler, Scheduler, UasScheduler};

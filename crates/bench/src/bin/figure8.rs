@@ -10,8 +10,9 @@
 //! cargo run --release -p convergent-bench --bin figure8 -- --jobs 4
 //! ```
 
-use convergent_bench::parallel::{default_jobs, jobs_from_args, run_cells};
+use convergent_bench::parallel::{default_jobs, jobs_from_args};
 use convergent_bench::{geomean, print_row, speedup};
+use convergent_core::parallel::run_cells;
 use convergent_core::ConvergentScheduler;
 use convergent_machine::Machine;
 use convergent_schedulers::{PccScheduler, UasScheduler};
@@ -25,7 +26,7 @@ fn main() {
     let suite = vliw_suite(4);
     print_row("benchmark", &["pcc", "uas", "convergent"].map(String::from));
     // One cell per unit; every cell builds its own schedulers so the
-    // fan-out stays deterministic (see bench::parallel).
+    // fan-out stays deterministic (see core::parallel).
     let results: Vec<(f64, f64, f64)> = run_cells(&suite, jobs, |unit| {
         let pcc = speedup(&PccScheduler::new(), unit, &machine)
             .unwrap_or_else(|e| panic!("pcc on {}: {e}", unit.name()));

@@ -48,7 +48,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use convergent_analysis::{lint_unit, LintOptions};
 use convergent_bench::cases::{case_stream, machine_from_spec, Case, FAMILIES, MACHINES};
-use convergent_bench::parallel::{default_jobs, jobs_from_args, run_cells};
+use convergent_bench::parallel::{default_jobs, jobs_from_args};
+use convergent_core::parallel::run_cells;
 use convergent_core::telemetry::ChromeTraceSink;
 use convergent_core::{sequence_proof_counts, verify_sequence, ConvergentScheduler, Sequence};
 use convergent_ir::{to_text, ClusterId, Dag, DagBuilder, Instruction, Opcode, SchedulingUnit};

@@ -8,8 +8,9 @@
 //! cargo run --release -p convergent-bench --bin table2 -- --jobs 4
 //! ```
 
-use convergent_bench::parallel::{default_jobs, jobs_from_args, run_cells};
+use convergent_bench::parallel::{default_jobs, jobs_from_args};
 use convergent_bench::{geomean, print_row, speedup};
+use convergent_core::parallel::run_cells;
 use convergent_core::ConvergentScheduler;
 use convergent_machine::Machine;
 use convergent_schedulers::{RawccScheduler, Scheduler};
@@ -38,7 +39,7 @@ fn main() {
     let bench_names: Vec<String> = raw_suite(4).iter().map(|u| u.name().to_string()).collect();
 
     // One cell per benchmark × tile count; each cell builds its own
-    // scheduler, so the fan-out is deterministic (see bench::parallel).
+    // scheduler, so the fan-out is deterministic (see core::parallel).
     let cells: Vec<(String, u16)> = bench_names
         .iter()
         .flat_map(|name| tile_configs.iter().map(move |&t| (name.clone(), t)))

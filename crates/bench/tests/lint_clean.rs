@@ -10,7 +10,8 @@
 
 use convergent_analysis::{lint_unit, LintOptions};
 use convergent_bench::cases::case_stream;
-use convergent_bench::parallel::{default_jobs, run_cells};
+use convergent_bench::parallel::default_jobs;
+use convergent_core::parallel::run_cells;
 
 #[test]
 fn two_thousand_seed0_fuzz_graphs_lint_clean() {

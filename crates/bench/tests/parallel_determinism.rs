@@ -2,8 +2,8 @@
 //! cells (full convergent schedules with fixed seeds) through
 //! `run_cells` must produce bit-identical results for every job count.
 
-use convergent_bench::parallel::{run_cells, run_indexed};
 use convergent_bench::speedup;
+use convergent_core::parallel::{run_cells, run_indexed};
 use convergent_core::ConvergentScheduler;
 use convergent_ir::SchedulingUnit;
 use convergent_machine::Machine;

@@ -17,12 +17,15 @@
 //!   `--region-size` must keep the same referee guarantees, and when
 //!   the cut governor rejects a degenerate cut the fall-back schedule
 //!   must be byte-identical to the monolithic one.
+//! * The governed cut search settles on pinned shard sizes and
+//!   cross-edge counts for the benchmark's sharded layered graphs.
 
+use convergent_bench::cases::splitmix64;
 use convergent_core::ConvergentScheduler;
-use convergent_ir::weakly_connected_components;
+use convergent_ir::{plan_regions, weakly_connected_components, RegionPolicy};
 use convergent_machine::Machine;
 use convergent_sim::{cross_check, validate};
-use convergent_workloads::{raw_suite, vliw_suite};
+use convergent_workloads::{layered, raw_suite, vliw_suite, LayeredParams};
 
 const MAKESPAN_RATIO_LIMIT: f64 = 3.0;
 
@@ -195,5 +198,63 @@ fn disconnected_workloads_shard_and_validate() {
                 assert!(info.shard_sizes.len() <= shards.min(k));
             }
         }
+    }
+}
+
+#[test]
+fn benchmark_layered_cuts_are_pinned() {
+    // The four `layered-20k-sharded` graphs of benchmark seed 1, built
+    // as the benchmark builds them, cut by the search the sharded
+    // driver runs under its 8-shard budget. Decomposition only: no
+    // scheduling, so this stays cheap in a debug build.
+    let expected: [(&[usize], usize); 4] = [
+        (
+            &[
+                24, 1925, 1911, 1790, 1923, 1931, 1938, 1846, 1884, 1859, 1898, 1071,
+            ],
+            4721,
+        ),
+        (
+            &[
+                85, 1972, 1913, 1932, 1899, 1894, 1978, 1933, 1974, 1958, 1956, 506,
+            ],
+            5293,
+        ),
+        (
+            &[
+                9, 1853, 1925, 1800, 1827, 1966, 1814, 1987, 1925, 1881, 1951, 1062,
+            ],
+            5019,
+        ),
+        (
+            &[
+                40, 1993, 1812, 1826, 1963, 1958, 1913, 1849, 1980, 1966, 1873, 827,
+            ],
+            5314,
+        ),
+    ];
+    let mut state = 1u64;
+    for (k, (sizes, cross)) in expected.into_iter().enumerate() {
+        let seed = splitmix64(&mut state);
+        let graph = layered(
+            LayeredParams::new(20_000, seed)
+                .with_width(160)
+                .with_preplacement(0.5, 4),
+        );
+        let plan = plan_regions(graph.dag(), &RegionPolicy::new(8));
+        assert!(plan.accepted(), "graph {k}: {:?}", plan.assessment);
+        assert_eq!(plan.rejects, 0, "graph {k}");
+        let got: Vec<usize> = plan
+            .decomposition
+            .shards()
+            .iter()
+            .map(convergent_ir::Shard::len)
+            .collect();
+        assert_eq!(got, sizes, "graph {k} shard sizes");
+        assert_eq!(
+            plan.decomposition.cross_edges().len(),
+            cross,
+            "graph {k} cross edges"
+        );
     }
 }

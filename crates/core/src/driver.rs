@@ -14,13 +14,13 @@
 
 use std::time::Instant;
 
-use convergent_ir::{decompose_with, ClusterId, Dag, RegionPolicy, Shard, TimeAnalysis};
+use convergent_ir::{plan_regions, ClusterId, CutAssessment, Dag, RegionPolicy, TimeAnalysis};
 use convergent_machine::Machine;
 use convergent_rng::Rng;
 use convergent_schedulers::{ListScheduler, ScheduleError, Scheduler};
 use convergent_sim::{stitch, Assignment, SpaceTimeSchedule};
 
-use crate::governor::{self, CutAssessment, CutVerdict};
+use crate::parallel::run_indexed;
 use crate::telemetry::{
     measure, ConvergenceMetrics, CounterTotals, SinkInterest, SpanKind, TelemetryBuffer,
     TelemetrySink,
@@ -285,7 +285,7 @@ impl ConvergentScheduler {
     ///
     /// With `shards > 1`, [`ConvergentScheduler::schedule`] (and
     /// [`ConvergentScheduler::schedule_with_sink`]) first decomposes
-    /// the graph ([`convergent_ir::decompose_with`]) into
+    /// the graph ([`convergent_ir::plan_regions`]) into
     /// region shards — weakly-connected components packed into at most
     /// `shards` bins, with any region above the size target
     /// ([`ConvergentScheduler::with_region_size`]) recursively cut —
@@ -297,9 +297,10 @@ impl ConvergentScheduler {
     /// so their schedules stay byte-identical to the monolithic driver
     /// at any shard count. Larger connected graphs are cut for
     /// compile-time, trading byte-identity for bounded region size; a
-    /// cut governor ([`crate::assess`]) rejects degenerate cuts,
-    /// coarsening the region target (doubling it) while the rejection
-    /// is for cross edges before falling back to the monolithic path.
+    /// cut governor ([`crate::assess`]) rejects degenerate cuts, and
+    /// the search coarsens the region target (doubling it) while the
+    /// rejection is for cross edges before the run falls back to the
+    /// monolithic path.
     ///
     /// # Panics
     ///
@@ -557,46 +558,19 @@ impl ConvergentScheduler {
         }
         convergent_schedulers::check_inputs(dag, machine)?;
         let t0 = Instant::now();
-        // Governor-driven coarsening. A cut rejected for cross edges
-        // means the region target is finer than the graph's layer
-        // width supports — pieces span too few topological levels, so
-        // most dependence edges cross a boundary no matter how the cut
-        // planes are aligned. Doubling the target widens every piece
-        // (halving the cross fraction on layered graphs), so either
-        // some coarser cut passes the governor or the decomposer stops
-        // cutting and the run falls back to the monolithic path,
-        // carrying the last rejected assessment as its verdict.
-        // Imbalance rejections never coarsen: a larger target only
-        // makes the dominant shard bigger.
-        let mut target = self
-            .region_size
-            .unwrap_or(convergent_ir::DEFAULT_REGION_SIZE)
-            .max(1);
-        let mut rejects = 0u64;
-        let mut last_rejected: Option<CutAssessment> = None;
-        let (dec, assessment) = loop {
-            let policy = RegionPolicy::new(self.shards).with_region_size(target);
-            let dec = decompose_with(dag, &policy);
-            if dec.is_trivial() {
-                break (dec, last_rejected);
-            }
-            let a = governor::assess(dag, &dec);
-            if a.accepted() {
-                break (dec, Some(a));
-            }
-            rejects += 1;
-            last_rejected = Some(a);
-            if a.verdict != CutVerdict::RejectedCrossEdges || target >= dag.len() {
-                break (dec, last_rejected);
-            }
-            target = target.saturating_mul(2);
-        };
-        let accepted = assessment.is_some_and(|a| a.accepted());
+        let plan = plan_regions(
+            dag,
+            &RegionPolicy {
+                max_shards: self.shards,
+                region_size: self.region_size,
+            },
+        );
+        let (accepted, assessment, dec) = (plan.accepted(), plan.assessment, plan.decomposition);
         tel.span_from("<decompose>", SpanKind::Stage, t0);
-        if tel.interest.counters && (accepted || rejects > 0) {
+        if tel.interest.counters && (accepted || plan.rejects > 0) {
             let delta = CounterTotals {
                 governor_accepts: u64::from(accepted),
-                governor_rejects: rejects,
+                governor_rejects: plan.rejects,
                 ..CounterTotals::default()
             };
             tel.sink.counters("<decompose>", &delta);
@@ -611,49 +585,22 @@ impl ConvergentScheduler {
         // concurrently. Workers are capped at the host's parallelism:
         // oversubscribing (one thread per shard regardless of cores)
         // thrashes caches badly enough to erase the whole win on small
-        // hosts. Results land in per-shard slots, so scheduling order
+        // hosts. Results come back in shard order, so scheduling order
         // never affects output, and errors surface in shard order.
         // Telemetry from worker threads lands in a per-shard
         // TelemetryBuffer (timestamps on the parent epoch) and is
         // replayed into the real sink in shard order after the join.
-        type ShardResult = Result<(ScheduleOutcome, TelemetryBuffer), ScheduleError>;
-        let run_one = |shard: &Shard| -> ShardResult {
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        let results = run_indexed(shards.len(), workers, |k| {
+            let shard = shards[k].dag();
             let mut buf = TelemetryBuffer::with_interest(interest);
             let mut t = Telemetry::new(&mut buf, epoch);
-            let outcome = self.converge(shard.dag(), machine, &mut t)?;
+            let outcome = self.converge(shard, machine, &mut t)?;
             let t0 = Instant::now();
-            let out = self.listsched(shard.dag(), machine, outcome)?;
+            let out = self.listsched(shard, machine, outcome)?;
             t.span_from("<listsched>", SpanKind::Stage, t0);
-            Ok((out, buf))
-        };
-        let workers = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .min(shards.len());
-        let results: Vec<ShardResult> = if workers <= 1 {
-            shards.iter().map(run_one).collect()
-        } else {
-            let slots: Vec<std::sync::Mutex<Option<ShardResult>>> =
-                shards.iter().map(|_| std::sync::Mutex::new(None)).collect();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(shard) = shards.get(k) else { break };
-                        let res = run_one(shard);
-                        *slots[k].lock().expect("no panics hold the slot lock") = Some(res);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("no panics hold the slot lock")
-                        .expect("every shard index was claimed exactly once")
-                })
-                .collect()
-        };
+            Ok::<_, ScheduleError>((out, buf))
+        });
 
         let mut parts = Vec::with_capacity(shards.len());
         let mut traces = Vec::with_capacity(shards.len());

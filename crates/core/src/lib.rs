@@ -52,7 +52,7 @@
 
 pub mod contract;
 mod driver;
-mod governor;
+pub mod parallel;
 mod pass;
 pub mod passes;
 mod profile;
@@ -67,8 +67,8 @@ pub use contract::{
 pub use convergent_analysis::{
     ContractProof, Determinism, EffectOp, Interval, PassEffect, PassSummary, Verdict,
 };
+pub use convergent_ir::{assess, CutAssessment, CutVerdict};
 pub use driver::{ConvergenceTrace, ConvergentScheduler, PassRecord, ScheduleOutcome, ShardInfo};
-pub use governor::{assess, CutAssessment, CutVerdict};
 pub use pass::{Pass, PassContext, PassContract, PassScratch};
 pub use profile::PassProfile;
 pub use sequence::Sequence;

@@ -55,8 +55,8 @@ pub use graph::{Dag, DagBuilder, Edge};
 pub use id::{ClusterId, Cycle, InstrId};
 pub use instr::{Instruction, OpClass, Opcode};
 pub use partition::{
-    decompose, decompose_with, weakly_connected_components, Decomposition, RegionPolicy, Shard,
-    DEFAULT_REGION_SIZE,
+    assess, decompose_with, plan_regions, weakly_connected_components, CutAssessment, CutVerdict,
+    Decomposition, RegionPlan, RegionPolicy, Shard, DEFAULT_REGION_SIZE,
 };
 pub use program::{CrossValue, Program, ProgramError};
 pub use shape::ShapeStats;

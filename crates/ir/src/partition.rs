@@ -6,16 +6,20 @@
 //! The driver is superlinear in region size, though, so beyond grouping
 //! components this module also cuts *connected* regions down to a target
 //! size ([`RegionPolicy::region_size`]): the largest oversize region is
-//! split repeatedly — at an articulation vertex when one separates a
-//! useful fraction, falling back to a k-way chop along the graph's
-//! global topological levels — until every region fits or no
-//! profitable cut remains. Chopping every entry at *global* level
-//! boundaries keeps all cut planes aligned with the graph's layer
-//! structure, so separate chops share boundaries instead of inventing
-//! skewed local ones, which keeps the stitched cross-edge bill low. The
-//! driver can then run the full pass pipeline on every shard
-//! concurrently and stitch the per-shard schedules back together
-//! (`convergent-sim`'s `stitch`).
+//! chopped repeatedly into runs of the graph's global topological
+//! levels until every region fits or no profitable chop remains.
+//! Chopping every entry at *global* level boundaries keeps all cut
+//! planes aligned with the graph's layer structure, so separate chops
+//! share boundaries instead of inventing skewed local ones, which keeps
+//! the stitched cross-edge bill low. The driver can then run the full
+//! pass pipeline on every shard concurrently and stitch the per-shard
+//! schedules back together (`convergent-sim`'s `stitch`).
+//!
+//! Whether a cut is worth stitching is the cut governor's call:
+//! [`assess`] prices a decomposition and [`plan_regions`] is the one
+//! governed search — decompose, assess, and coarsen the region target
+//! while the cut is rejected for its cross edges — that both the
+//! sharded driver and the `CS041` lint run.
 //!
 //! Two invariants matter to the callers:
 //!
@@ -24,18 +28,16 @@
 //!   the input graph itself, which is what lets the driver promise
 //!   byte-identical schedules for `--shards N` on small connected
 //!   inputs. Larger connected graphs *are* cut, trading byte-identity
-//!   for bounded region size; the driver's cut governor guards the
-//!   quality of that trade.
+//!   for bounded region size; the cut governor guards the quality of
+//!   that trade.
 //! * **Cross-shard edges always point from an earlier shard to a later
 //!   one.** The shard list is a topological order of the shard quotient
 //!   graph, so the stitch phase can commit shards left to right and only
 //!   ever look backwards for producers.
 
-use std::collections::HashMap;
-
 use crate::{Dag, DagBuilder, Edge, InstrId};
 
-/// Default region-size target for [`decompose`], in instructions.
+/// Default region-size target for [`decompose_with`], in instructions.
 ///
 /// Tuned from the `compiletime` bench sweep: per-instruction throughput
 /// is near its peak up to ~2000 instructions and falls superlinearly
@@ -47,10 +49,10 @@ pub const DEFAULT_REGION_SIZE: usize = 2000;
 /// produce, bounding pathological recursion on adversarial graphs.
 const MAX_REGIONS: usize = 1024;
 
-/// Fraction of an entry that a recursive articulation cut must move out
-/// of its largest piece to count as progress: the largest piece must
-/// hold at most `7/8` of the entry, else the cut is rejected and the
-/// level cut is tried instead.
+/// Fraction of an entry that a level chop must move out of its largest
+/// piece to count as progress: the largest piece must hold at most
+/// `7/8` of the entry, else the chop is rejected and the entry stays
+/// whole.
 const CUT_PROGRESS_NUM: usize = 7;
 const CUT_PROGRESS_DEN: usize = 8;
 
@@ -61,14 +63,8 @@ const CUT_PROGRESS_DEN: usize = 8;
 struct Scratch {
     /// `mark[i] == stamp` iff node `i` belongs to the current entry.
     mark: Vec<u32>,
-    /// Dense local index of node `i` within the current entry (valid
-    /// only where `mark` matches).
-    local: Vec<u32>,
     /// `visit[i] == vstamp` iff the current flood fill reached `i`.
     visit: Vec<u32>,
-    /// Piece id assigned by the current flood fill (valid where
-    /// `visit` matches).
-    piece: Vec<u32>,
     stamp: u32,
     vstamp: u32,
 }
@@ -77,24 +73,17 @@ impl Scratch {
     fn new(n: usize) -> Self {
         Scratch {
             mark: vec![0; n],
-            local: vec![0; n],
             visit: vec![0; n],
-            piece: vec![0; n],
             stamp: 0,
             vstamp: 0,
         }
     }
 
-    /// Marks `ids` as the current entry and assigns dense local
-    /// indices in slice order.
+    /// Marks `ids` as the current entry.
     fn set_entry(&mut self, ids: &[InstrId]) {
         self.stamp += 1;
-        for (k, &g) in ids.iter().enumerate() {
+        for &g in ids {
             self.mark[g.index()] = self.stamp;
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                self.local[g.index()] = k as u32;
-            }
         }
     }
 
@@ -274,25 +263,6 @@ pub fn weakly_connected_components(dag: &Dag) -> Vec<Vec<InstrId>> {
     components
 }
 
-/// How dominant the largest component must be (as a fraction of the
-/// graph) before [`decompose`] attempts an articulation cut on it.
-const GIANT_FRACTION_NUM: usize = 3;
-const GIANT_FRACTION_DEN: usize = 4;
-
-/// Most articulation candidates whose directional split is evaluated;
-/// candidates are ranked by the balance of their DFS-tree separation
-/// first, so the cap costs quality only on adversarial graphs.
-const MAX_CUT_CANDIDATES: usize = 8;
-
-/// Splits `dag` into shards under the default [`RegionPolicy`] for
-/// `max_shards` (region-size target [`DEFAULT_REGION_SIZE`]).
-///
-/// See [`decompose_with`] for the full contract.
-#[must_use]
-pub fn decompose(dag: &Dag, max_shards: usize) -> Decomposition {
-    decompose_with(dag, &RegionPolicy::new(max_shards))
-}
-
 /// Splits `dag` into shards under `policy`.
 ///
 /// The shard list is a topological order of the shard quotient graph:
@@ -304,25 +274,22 @@ pub fn decompose(dag: &Dag, max_shards: usize) -> Decomposition {
 ///   path, byte-identically).
 /// * Several components: components are bin-packed (largest first into
 ///   the lightest bin) into at most `max_shards` bins — more when the
-///   total exceeds `max_shards` regions of the target size. A dominant
-///   giant component (more than 3/4 of the instructions, with shard
-///   slots to spare) is first cut at its best articulation vertex.
+///   total exceeds `max_shards` regions of the target size.
 /// * Any region larger than the target — a big connected graph, a big
-///   piece of the giant, a heavy bin — is recursively cut: at its best
-///   articulation vertex when one moves at least 1/8 of the region out
-///   of the largest piece, else chopped into runs of consecutive
-///   global topological levels of at most the target size. Regions
-///   where neither cut qualifies stay whole ("no profitable cut").
+///   component — is recursively cut: a locally disconnected region is
+///   packed by component, a connected one chopped into runs of
+///   consecutive global topological levels of at most the target size
+///   when the largest run holds at most 7/8 of the region. Regions
+///   where the chop does not qualify stay whole ("no profitable cut").
 #[must_use]
 pub fn decompose_with(dag: &Dag, policy: &RegionPolicy) -> Decomposition {
-    let everything: Vec<InstrId> = dag.ids().collect();
     if policy.max_shards <= 1 {
-        return assemble(dag, vec![everything]);
+        return assemble(dag, vec![dag.ids().collect()]);
     }
     let target = policy.target_region_size();
     let components = weakly_connected_components(dag);
     if components.len() == 1 && components[0].len() <= target {
-        return assemble(dag, vec![everything]);
+        return assemble(dag, components);
     }
     let mut scratch = Scratch::new(dag.len());
     // Longest-path levels over the whole graph, shared by every level
@@ -346,62 +313,14 @@ pub fn decompose_with(dag: &Dag, policy: &RegionPolicy) -> Decomposition {
         free: bool,
         tried: bool,
     }
-    let mut entries: Vec<Entry> = Vec::new();
-
-    if components.len() == 1 {
-        entries.push(Entry {
-            ids: everything,
+    let mut entries: Vec<Entry> = components
+        .into_iter()
+        .map(|ids| Entry {
+            ids,
             free: true,
             tried: false,
-        });
-    } else {
-        let giant_idx = components
-            .iter()
-            .enumerate()
-            .max_by_key(|(idx, c)| (c.len(), usize::MAX - idx))
-            .map(|(idx, _)| idx)
-            .unwrap_or(0);
-        let giant_len = components[giant_idx].len();
-        let dominates = giant_len * GIANT_FRACTION_DEN > dag.len() * GIANT_FRACTION_NUM;
-        // Cutting the giant needs spare shard slots: its pieces each
-        // take one, and every other component still needs somewhere to
-        // go.
-        let has_room = components.len() + 1 < policy.max_shards;
-
-        let mut chain: Vec<Vec<InstrId>> = Vec::new();
-        let mut free: Vec<Vec<InstrId>> = Vec::new();
-        if dominates && has_room {
-            match articulation_cut(dag, &components[giant_idx], &mut scratch) {
-                Some(pieces) => chain = pieces,
-                None => free.push(components[giant_idx].clone()),
-            }
-            for (idx, c) in components.into_iter().enumerate() {
-                if idx != giant_idx {
-                    free.push(c);
-                }
-            }
-            free.sort_by_key(|c| c[0]);
-        } else {
-            free = components;
-        }
-        // Free components carry no cross edges so they can go anywhere;
-        // the chain pieces must keep their relative order, so they go
-        // last.
-        for ids in free {
-            entries.push(Entry {
-                ids,
-                free: true,
-                tried: false,
-            });
-        }
-        for ids in chain {
-            entries.push(Entry {
-                ids,
-                free: false,
-                tried: false,
-            });
-        }
-    }
+        })
+        .collect();
 
     // Recursively cut the largest oversize entry until everything fits
     // the target or nothing profitable remains.
@@ -449,18 +368,162 @@ pub fn decompose_with(dag: &Dag, policy: &RegionPolicy) -> Decomposition {
     assemble(dag, groups)
 }
 
+/// Reject when more than this fraction of all edges would cross
+/// shards: `cross * CROSS_EDGE_DEN > total * CROSS_EDGE_NUM`.
+const CROSS_EDGE_NUM: usize = 1;
+const CROSS_EDGE_DEN: usize = 2;
+
+/// Reject when the largest shard still holds more than 15/16 of the
+/// instructions — the cut pays stitch overhead without bounding the
+/// superlinear region.
+const IMBALANCE_NUM: usize = 15;
+const IMBALANCE_DEN: usize = 16;
+
+/// The cut governor's verdict on one decomposition.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CutVerdict {
+    /// The projected cut is worth stitching.
+    Accepted,
+    /// Most dependence edges would cross shards; stitching would chase
+    /// more cross-shard values than it schedules locally.
+    RejectedCrossEdges,
+    /// The largest shard still holds nearly the whole graph; cutting
+    /// buys no region-size reduction.
+    RejectedImbalance,
+}
+
+/// What the cut governor measured about a decomposition, plus its
+/// verdict.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CutAssessment {
+    /// Number of shards in the decomposition.
+    pub n_shards: usize,
+    /// Instructions in the largest shard.
+    pub largest_shard: usize,
+    /// Dependence edges whose endpoints land in different shards.
+    pub cross_edges: usize,
+    /// Total dependence edges in the graph.
+    pub total_edges: usize,
+    /// The verdict.
+    pub verdict: CutVerdict,
+}
+
+impl CutAssessment {
+    /// `true` when the driver may take the sharded path.
+    #[must_use]
+    pub fn accepted(&self) -> bool {
+        self.verdict == CutVerdict::Accepted
+    }
+}
+
+/// The cut governor: projects the quality of `dec` before any
+/// scheduling happens.
+///
+/// Cutting a *connected* graph gives up the byte-identity the driver
+/// promises for monolithic runs, so the quality of the cut is guarded
+/// instead. Pure component sharding (no cross edges) is always
+/// accepted — it carries no stitch coupling. Connected-graph cuts are
+/// rejected when degenerate: more than half of all edges crossing
+/// shards, or the largest shard still holding more than 15/16 of the
+/// graph.
+#[must_use]
+pub fn assess(dag: &Dag, dec: &Decomposition) -> CutAssessment {
+    let n_shards = dec.shards().len();
+    let largest_shard = dec.shards().iter().map(Shard::len).max().unwrap_or(0);
+    let cross_edges = dec.cross_edges().len();
+    let total_edges = dag.edge_count();
+    let verdict = if cross_edges == 0 {
+        CutVerdict::Accepted
+    } else if largest_shard * IMBALANCE_DEN > dag.len() * IMBALANCE_NUM {
+        CutVerdict::RejectedImbalance
+    } else if cross_edges * CROSS_EDGE_DEN > total_edges * CROSS_EDGE_NUM {
+        CutVerdict::RejectedCrossEdges
+    } else {
+        CutVerdict::Accepted
+    };
+    CutAssessment {
+        n_shards,
+        largest_shard,
+        cross_edges,
+        total_edges,
+        verdict,
+    }
+}
+
+/// The outcome of the governed cut search ([`plan_regions`]).
+#[derive(Clone, Debug)]
+pub struct RegionPlan {
+    /// The last decomposition tried: the accepted cut, a trivial one
+    /// when the decomposer found nothing to cut, or the last rejected
+    /// cut.
+    pub decomposition: Decomposition,
+    /// The governor's assessment of the accepted cut, or of the last
+    /// rejected one; `None` when no non-trivial cut was assessed.
+    pub assessment: Option<CutAssessment>,
+    /// Cuts the governor rejected along the way.
+    pub rejects: u64,
+}
+
+impl RegionPlan {
+    /// `true` when the search settled on a cut the governor accepts,
+    /// so a sharded run schedules `decomposition` shard by shard;
+    /// otherwise it falls back to one monolithic schedule.
+    #[must_use]
+    pub fn accepted(&self) -> bool {
+        self.assessment.is_some_and(|a| a.accepted())
+    }
+}
+
+/// The governed cut search: decomposes `dag` under `policy`, assesses
+/// the cut, and coarsens while the governor rejects it.
+///
+/// A cut rejected for cross edges means the region target is finer
+/// than the graph's layer width supports — pieces span too few
+/// topological levels, so most dependence edges cross a boundary no
+/// matter how the cut planes are aligned. Doubling the target widens
+/// every piece (halving the cross fraction on layered graphs), so
+/// either some coarser cut passes the governor or the decomposer stops
+/// cutting and the search ends without an accepted cut, carrying the
+/// last rejected assessment. Imbalance rejections never coarsen: a
+/// larger target only makes the dominant shard bigger.
+#[must_use]
+pub fn plan_regions(dag: &Dag, policy: &RegionPolicy) -> RegionPlan {
+    let mut target = policy.target_region_size();
+    let mut rejects = 0u64;
+    let mut last_rejected: Option<CutAssessment> = None;
+    loop {
+        let decomposition = decompose_with(dag, &policy.with_region_size(target));
+        if decomposition.is_trivial() {
+            return RegionPlan {
+                decomposition,
+                assessment: last_rejected,
+                rejects,
+            };
+        }
+        let a = assess(dag, &decomposition);
+        if !a.accepted() {
+            rejects += 1;
+        }
+        if a.accepted() || a.verdict != CutVerdict::RejectedCrossEdges || target >= dag.len() {
+            return RegionPlan {
+                decomposition,
+                assessment: Some(a),
+                rejects,
+            };
+        }
+        last_rejected = Some(a);
+        target = target.saturating_mul(2);
+    }
+}
+
 /// Cuts one oversize entry (a weakly-connected-or-not ordered id group)
 /// into at least two ordered pieces, or returns `None` when no
 /// profitable cut exists.
 ///
-/// Strategies, in order:
-/// 1. Locally disconnected entries (possible for pieces of earlier
-///    cuts) are packed by local component into enough bins to average
-///    the target size.
-/// 2. An articulation cut, accepted only when its largest piece holds
-///    at most 7/8 of the entry.
-/// 3. A k-way chop along the graph's global topological levels
-///    ([`level_chop`]).
+/// Locally disconnected entries (possible for pieces of earlier cuts)
+/// are packed by local component into enough bins to average the
+/// target size; connected ones are chopped along the graph's global
+/// topological levels ([`level_chop`]).
 fn cut_entry(
     dag: &Dag,
     ids: &[InstrId],
@@ -471,12 +534,6 @@ fn cut_entry(
     let comps = local_components(dag, ids, scratch);
     if comps.len() > 1 {
         return Some(pack(comps, ids.len().div_ceil(target).max(2)));
-    }
-    if let Some(groups) = articulation_cut(dag, ids, scratch) {
-        let largest = groups.iter().map(Vec::len).max().unwrap_or(0);
-        if largest * CUT_PROGRESS_DEN <= ids.len() * CUT_PROGRESS_NUM {
-            return Some(groups);
-        }
     }
     level_chop(ids, levels, target)
 }
@@ -581,201 +638,6 @@ fn pack(mut groups: Vec<Vec<InstrId>>, bins: usize) -> Vec<Vec<InstrId>> {
     }
     out.sort_by_key(|b| b[0]);
     out
-}
-
-/// Cuts a weakly-connected node set at its best articulation vertex.
-///
-/// Removing an articulation vertex `v` splits the component into pieces
-/// that each touch only `v`. Pieces whose edges all point *into* `v`
-/// can be scheduled before it, pieces fed only *from* `v` after it, and
-/// pieces with edges both ways must stay with `v`. The returned groups
-/// — `[upstream, v + mixed, downstream]`, empty groups dropped — are
-/// therefore a topological chain. Returns `None` when no articulation
-/// vertex moves any instruction out of the middle group.
-fn articulation_cut(
-    dag: &Dag,
-    comp: &[InstrId],
-    scratch: &mut Scratch,
-) -> Option<Vec<Vec<InstrId>>> {
-    scratch.set_entry(comp);
-    let candidates = articulation_candidates(dag, comp, scratch);
-    let mut best: Option<(usize, Vec<Vec<InstrId>>)> = None;
-    for v in candidates.into_iter().take(MAX_CUT_CANDIDATES) {
-        let Some(groups) = directional_split(dag, comp, v, scratch) else {
-            continue;
-        };
-        // Score by how much leaves the middle group; a cut that strands
-        // everything with `v` is no cut at all.
-        let moved: usize = groups
-            .iter()
-            .filter(|g| !g.contains(&v))
-            .map(Vec::len)
-            .sum();
-        if moved == 0 {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(s, _)| moved > *s) {
-            best = Some((moved, groups));
-        }
-    }
-    best.map(|(_, groups)| groups)
-}
-
-/// Articulation vertices of the undirected skeleton of `comp`, ranked
-/// by the balance of the DFS-subtree separation they induce (best
-/// first), ties broken by id.
-fn articulation_candidates(dag: &Dag, comp: &[InstrId], scratch: &Scratch) -> Vec<InstrId> {
-    let n = comp.len();
-    // The caller (`articulation_cut`) has already marked `comp` as the
-    // current entry, so membership and dense local indices come from
-    // the scratch stamps.
-    let adj: Vec<Vec<usize>> = comp
-        .iter()
-        .map(|&i| {
-            dag.neighbors(i)
-                .filter(|&g| scratch.contains(g))
-                .map(|g| scratch.local[g.index()] as usize)
-                .collect()
-        })
-        .collect();
-    let mut disc = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut subtree = vec![1usize; n];
-    let mut parent = vec![usize::MAX; n];
-    // Best separation score per articulation vertex found.
-    let mut arts: HashMap<usize, usize> = HashMap::new();
-    let mut timer = 0usize;
-    // Iterative DFS from local node 0; comp is connected so one root
-    // covers everything.
-    let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-    disc[0] = timer;
-    low[0] = timer;
-    timer += 1;
-    let mut root_children = 0usize;
-    while let Some(top) = stack.last_mut() {
-        let (u, cursor) = (top.0, top.1);
-        if cursor < adj[u].len() {
-            top.1 += 1;
-            let w = adj[u][cursor];
-            if disc[w] == usize::MAX {
-                parent[w] = u;
-                disc[w] = timer;
-                low[w] = timer;
-                timer += 1;
-                if u == 0 {
-                    root_children += 1;
-                }
-                stack.push((w, 0));
-            } else if w != parent[u] {
-                low[u] = low[u].min(disc[w]);
-            }
-        } else {
-            stack.pop();
-            if let Some(&(p, _)) = stack.last() {
-                low[p] = low[p].min(low[u]);
-                subtree[p] += subtree[u];
-                if p != 0 && low[u] >= disc[p] {
-                    // Removing p separates u's subtree; score by how
-                    // balanced that separation is.
-                    let sep = subtree[u];
-                    let score = sep.min(n.saturating_sub(1 + sep));
-                    let e = arts.entry(p).or_insert(0);
-                    *e = (*e).max(score);
-                }
-            }
-        }
-    }
-    if root_children > 1 {
-        // The DFS root is an articulation vertex when it has more than
-        // one tree child; any child subtree is a separation witness.
-        let sep = (1..n)
-            .filter(|&w| parent[w] == 0)
-            .map(|w| subtree[w])
-            .min()
-            .unwrap_or(0);
-        arts.insert(0, sep.min(n.saturating_sub(1 + sep)));
-    }
-    let mut ranked: Vec<(usize, usize)> = arts.into_iter().collect();
-    ranked.sort_by_key(|&(u, score)| (usize::MAX - score, comp[u]));
-    ranked.into_iter().map(|(u, _)| comp[u]).collect()
-}
-
-/// Splits `comp` around articulation vertex `v` into the ordered groups
-/// `[upstream, v + mixed, downstream]` (empty groups dropped). Returns
-/// `None` if removing `v` leaves the rest connected (not actually an
-/// articulation vertex for this component).
-fn directional_split(
-    dag: &Dag,
-    comp: &[InstrId],
-    v: InstrId,
-    scratch: &mut Scratch,
-) -> Option<Vec<Vec<InstrId>>> {
-    // `comp` may be a strict subset of a weakly-connected component (a
-    // piece of an earlier cut), so the flood fill must stay inside the
-    // induced subgraph — the caller's entry stamps say what's inside.
-    scratch.vstamp += 1;
-    let vs = scratch.vstamp;
-    let mut n_pieces = 0u32;
-    let mut stack = Vec::new();
-    for &start in comp {
-        if start == v || scratch.visit[start.index()] == vs {
-            continue;
-        }
-        let id = n_pieces;
-        n_pieces += 1;
-        scratch.visit[start.index()] = vs;
-        scratch.piece[start.index()] = id;
-        stack.push(start);
-        while let Some(i) = stack.pop() {
-            for nb in dag.neighbors(i) {
-                if nb != v && scratch.contains(nb) && scratch.visit[nb.index()] != vs {
-                    scratch.visit[nb.index()] = vs;
-                    scratch.piece[nb.index()] = id;
-                    stack.push(nb);
-                }
-            }
-        }
-    }
-    if n_pieces < 2 {
-        return None;
-    }
-    // Classify each piece by the direction of its edges with `v`.
-    let mut feeds_v = vec![false; n_pieces as usize];
-    let mut fed_by_v = vec![false; n_pieces as usize];
-    for &p in dag.preds(v) {
-        if scratch.visit[p.index()] == vs {
-            feeds_v[scratch.piece[p.index()] as usize] = true;
-        }
-    }
-    for &s in dag.succs(v) {
-        if scratch.visit[s.index()] == vs {
-            fed_by_v[scratch.piece[s.index()] as usize] = true;
-        }
-    }
-    let mut upstream = Vec::new();
-    let mut middle = vec![v];
-    let mut downstream = Vec::new();
-    for &i in comp {
-        if i == v {
-            continue;
-        }
-        let id = scratch.piece[i.index()] as usize;
-        match (feeds_v[id], fed_by_v[id]) {
-            (true, false) => upstream.push(i),
-            (false, true) => downstream.push(i),
-            // Mixed pieces (or isolated ones, unreachable for a
-            // connected component) must stay with the vertex.
-            _ => middle.push(i),
-        }
-    }
-    upstream.sort_unstable();
-    middle.sort_unstable();
-    downstream.sort_unstable();
-    let groups: Vec<Vec<InstrId>> = [upstream, middle, downstream]
-        .into_iter()
-        .filter(|g| !g.is_empty())
-        .collect();
-    Some(groups)
 }
 
 /// Builds the final [`Decomposition`] from ordered disjoint id groups
@@ -886,7 +748,7 @@ mod tests {
     fn single_component_never_cut() {
         for shards in [1, 2, 8, 64] {
             let d = diamond();
-            let dec = decompose(&d, shards);
+            let dec = decompose_with(&d, &RegionPolicy::new(shards));
             assert!(dec.is_trivial(), "shards={shards}");
             assert_eq!(dec.shards()[0].len(), d.len());
             assert!(dec.cross_edges().is_empty());
@@ -902,7 +764,7 @@ mod tests {
     #[test]
     fn disjoint_components_have_no_cross_edges() {
         let d = chains(6, 5);
-        let dec = decompose(&d, 3);
+        let dec = decompose_with(&d, &RegionPolicy::new(3));
         assert_eq!(dec.shards().len(), 3);
         assert!(dec.cross_edges().is_empty());
         // Every instruction appears exactly once, mapped consistently.
@@ -927,7 +789,7 @@ mod tests {
     fn packing_balances_shard_sizes() {
         // 4 chains of 10 into 2 bins: 20/20.
         let d = chains(4, 10);
-        let dec = decompose(&d, 2);
+        let dec = decompose_with(&d, &RegionPolicy::new(2));
         assert_eq!(dec.shards().len(), 2);
         assert_eq!(dec.shards()[0].len(), 20);
         assert_eq!(dec.shards()[1].len(), 20);
@@ -936,66 +798,23 @@ mod tests {
     #[test]
     fn more_shards_than_components_is_capped() {
         let d = chains(3, 2);
-        let dec = decompose(&d, 16);
+        let dec = decompose_with(&d, &RegionPolicy::new(16));
         assert_eq!(dec.shards().len(), 3);
     }
 
     #[test]
     fn induced_edges_survive() {
         let d = chains(2, 3);
-        let dec = decompose(&d, 2);
+        let dec = decompose_with(&d, &RegionPolicy::new(2));
         let total_edges: usize = dec.shards().iter().map(|s| s.dag().edge_count()).sum();
         assert_eq!(total_edges + dec.cross_edges().len(), d.edge_count());
         assert_eq!(total_edges, 4);
     }
 
     #[test]
-    fn giant_component_is_cut_at_articulation_vertex() {
-        // A bowtie: chain A -> v -> chain C (giant, 9 nodes), plus a
-        // 2-node dust component. The giant holds > 3/4 of the graph, so
-        // with room to spare it gets cut at v.
-        let mut b = DagBuilder::new();
-        let mut prev = b.instr(Opcode::IntAlu);
-        for _ in 1..4 {
-            let next = b.instr(Opcode::IntAlu);
-            b.edge(prev, next).unwrap();
-            prev = next;
-        }
-        let v = b.instr(Opcode::IntMul);
-        b.edge(prev, v).unwrap();
-        let mut tail = v;
-        for _ in 0..4 {
-            let next = b.instr(Opcode::IntAlu);
-            b.edge(tail, next).unwrap();
-            tail = next;
-        }
-        let d1 = b.instr(Opcode::Load);
-        let d2 = b.instr(Opcode::Store);
-        b.edge(d1, d2).unwrap();
-        let d = b.build().unwrap();
-
-        let dec = decompose(&d, 8);
-        assert!(dec.shards().len() >= 3, "giant should be cut");
-        // Cross edges all point forward in shard order.
-        assert!(!dec.cross_edges().is_empty());
-        for e in dec.cross_edges() {
-            assert!(dec.shard_of(e.src) < dec.shard_of(e.dst), "{e:?}");
-        }
-        // Every instruction still appears exactly once.
-        let mut seen = vec![false; d.len()];
-        for shard in dec.shards() {
-            for &g in shard.to_global() {
-                assert!(!seen[g.index()]);
-                seen[g.index()] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn giant_without_room_stays_whole() {
-        // Same bowtie + dust, but only 2 shard slots: no cut, just
-        // packing of the two components.
+        // A 9-chain plus dust, 2 shard slots and the default target: no
+        // cut, just packing of the two components.
         let mut b = DagBuilder::new();
         let mut prev = b.instr(Opcode::IntAlu);
         for _ in 1..9 {
@@ -1007,7 +826,7 @@ mod tests {
         let d2 = b.instr(Opcode::Store);
         b.edge(d1, d2).unwrap();
         let d = b.build().unwrap();
-        let dec = decompose(&d, 2);
+        let dec = decompose_with(&d, &RegionPolicy::new(2));
         assert_eq!(dec.shards().len(), 2);
         assert!(dec.cross_edges().is_empty());
     }
@@ -1015,7 +834,7 @@ mod tests {
     #[test]
     fn max_shards_one_is_identity() {
         let d = chains(4, 3);
-        let dec = decompose(&d, 1);
+        let dec = decompose_with(&d, &RegionPolicy::new(1));
         assert!(dec.is_trivial());
         assert_eq!(dec.shards()[0].len(), d.len());
     }
@@ -1061,16 +880,15 @@ mod tests {
             assert!(dec.is_trivial(), "shards={shards}");
         }
         // The default target keeps every small connected graph whole.
-        assert!(decompose(&d, 8).is_trivial());
+        assert!(decompose_with(&d, &RegionPolicy::new(8)).is_trivial());
     }
 
     #[test]
     fn star_has_no_profitable_cut() {
-        // A wide fan-in star: the only articulation vertex is the hub,
-        // whose removal strands 7/8+ of the graph in one piece, and the
-        // level structure is too shallow to balance. No profitable cut
-        // exists, so the graph stays whole despite exceeding the
-        // target.
+        // A wide fan-in star: the leaves form one level holding 39 of
+        // 40 instructions, so the level chop strands more than 7/8 of
+        // the graph in one piece. No profitable cut exists, so the
+        // graph stays whole despite exceeding the target.
         let mut b = DagBuilder::new();
         let sink = b.instr(Opcode::IntAlu);
         for _ in 0..39 {
@@ -1086,8 +904,7 @@ mod tests {
     #[test]
     fn level_cut_splits_biconnected_layers() {
         // 10 layers of 4, complete bipartite between consecutive
-        // layers: no articulation vertex anywhere, so only the level
-        // cut applies.
+        // layers: the level chop cuts between layers.
         let mut b = DagBuilder::new();
         let mut prev: Vec<InstrId> = (0..4).map(|_| b.instr(Opcode::IntAlu)).collect();
         for _ in 1..10 {
@@ -1144,5 +961,100 @@ mod tests {
             assert!(s.len() <= 16, "shard of {} exceeds target", s.len());
         }
         assert_partition(&d, &dec);
+    }
+
+    #[test]
+    fn component_sharding_is_always_accepted() {
+        let d = chains(4, 2);
+        let dec = decompose_with(&d, &RegionPolicy::new(4));
+        assert_eq!(dec.shards().len(), 4);
+        let a = assess(&d, &dec);
+        assert_eq!(a.cross_edges, 0);
+        assert!(a.accepted());
+    }
+
+    #[test]
+    fn balanced_chain_cut_is_accepted() {
+        let d = chains(1, 100);
+        let plan = plan_regions(&d, &RegionPolicy::new(8).with_region_size(25));
+        assert!(!plan.decomposition.is_trivial());
+        assert!(plan.accepted(), "{:?}", plan.assessment);
+        assert_eq!(plan.rejects, 0);
+        let a = plan.assessment.expect("a non-trivial cut is assessed");
+        assert_eq!(a, assess(&d, &plan.decomposition));
+        assert!(a.cross_edges > 0);
+    }
+
+    #[test]
+    fn mostly_crossing_cut_is_rejected() {
+        // Two "shards" joined by more edges than live inside either:
+        // the assessment must reject. The level chop puts the chain
+        // below and the sinks above; the bipartite edges all cross.
+        let mut b = DagBuilder::new();
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        let mut lp = b.instr(Opcode::IntAlu);
+        left.push(lp);
+        for _ in 1..8 {
+            let n = b.instr(Opcode::IntAlu);
+            b.edge(lp, n).unwrap();
+            lp = n;
+            left.push(n);
+        }
+        for _ in 0..8 {
+            right.push(b.instr(Opcode::IntAlu));
+        }
+        for &l in &left {
+            for &r in &right {
+                b.edge(l, r).unwrap();
+            }
+        }
+        let d = b.build().unwrap();
+        let dec = decompose_with(&d, &RegionPolicy::new(8).with_region_size(8));
+        assert!(!dec.is_trivial());
+        let a = assess(&d, &dec);
+        assert_eq!(a.verdict, CutVerdict::RejectedCrossEdges, "{a:?}");
+    }
+
+    #[test]
+    fn cross_edge_rejection_coarsens_the_target() {
+        // The same chain-plus-sinks graph: the 8-instruction target is
+        // rejected for its cross edges, the doubled target of 16 covers
+        // the whole graph, so the search ends trivial and carries the
+        // rejected assessment.
+        let mut b = DagBuilder::new();
+        let mut lp = b.instr(Opcode::IntAlu);
+        let mut left = vec![lp];
+        for _ in 1..8 {
+            let n = b.instr(Opcode::IntAlu);
+            b.edge(lp, n).unwrap();
+            lp = n;
+            left.push(n);
+        }
+        let right: Vec<InstrId> = (0..8).map(|_| b.instr(Opcode::IntAlu)).collect();
+        for &l in &left {
+            for &r in &right {
+                b.edge(l, r).unwrap();
+            }
+        }
+        let d = b.build().unwrap();
+        let plan = plan_regions(&d, &RegionPolicy::new(8).with_region_size(8));
+        assert!(plan.decomposition.is_trivial());
+        assert!(!plan.accepted());
+        assert_eq!(plan.rejects, 1);
+        assert_eq!(
+            plan.assessment.map(|a| a.verdict),
+            Some(CutVerdict::RejectedCrossEdges)
+        );
+    }
+
+    #[test]
+    fn uncut_graphs_have_no_assessment() {
+        let d = chains(1, 100);
+        let plan = plan_regions(&d, &RegionPolicy::new(8));
+        assert!(plan.decomposition.is_trivial());
+        assert_eq!(plan.assessment, None);
+        assert_eq!(plan.rejects, 0);
+        assert!(!plan.accepted());
     }
 }

@@ -6,12 +6,13 @@
 //! earlier shard to a later one (the quotient order is topological),
 //! and every other edge survives inside exactly one shard's local DAG.
 //!
-//! The generator sweeps four families — chains (connected, heavy on
-//! articulation vertices), interleaved strided chains (several weakly-
-//! connected components), fan-out stars (one articulation hub), and
-//! loose dust — each salted with random extra forward edges, under
-//! shard budgets from trivial to generous and region-size targets small
-//! enough to force recursive cuts on almost every case.
+//! The generator sweeps four families — chains (connected and deep, so
+//! the level chop cuts them), interleaved strided chains (several
+//! weakly-connected components), fan-out stars (one hub level and one
+//! wide level, which the chop cannot balance), and loose dust — each
+//! salted with random extra forward edges, under shard budgets from
+//! trivial to generous and region-size targets small enough to force
+//! recursive cuts on almost every case.
 
 use convergent_ir::{decompose_with, Dag, DagBuilder, InstrId, Opcode, RegionPolicy};
 use proptest::prelude::*;
@@ -33,7 +34,7 @@ fn build(family: u8, n: usize, extra: &[(usize, usize)]) -> Dag {
         })
         .collect();
     match family % 4 {
-        // Chain backbone: connected, every interior vertex articulates.
+        // Chain backbone: connected, one instruction per level.
         0 => {
             for k in 1..n {
                 b.edge(ids[k - 1], ids[k]).expect("fresh ids");
@@ -45,7 +46,7 @@ fn build(family: u8, n: usize, extra: &[(usize, usize)]) -> Dag {
                 b.edge(ids[k - 3], ids[k]).expect("fresh ids");
             }
         }
-        // Fan-out star: one articulation hub feeding everything.
+        // Fan-out star: one hub feeding everything.
         2 => {
             for k in 1..n {
                 b.edge(ids[0], ids[k]).expect("fresh ids");

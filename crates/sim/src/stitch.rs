@@ -481,7 +481,7 @@ pub fn stitch(
 mod tests {
     use super::*;
     use crate::validate;
-    use convergent_ir::{decompose, DagBuilder, Opcode};
+    use convergent_ir::{decompose_with, DagBuilder, Opcode, RegionPolicy};
 
     /// Schedules a shard the dumbest legal way: everything on cluster 0
     /// back to back (single-cluster, no comms).
@@ -517,7 +517,7 @@ mod tests {
     fn disjoint_shards_stitch_and_validate() {
         let dag = two_chains();
         let m = Machine::chorus_vliw(2);
-        let dec = decompose(&dag, 2);
+        let dec = decompose_with(&dag, &RegionPolicy::new(2));
         assert_eq!(dec.shards().len(), 2);
         let parts: Vec<SpaceTimeSchedule> = dec
             .shards()
@@ -536,7 +536,8 @@ mod tests {
 
     #[test]
     fn cross_shard_edges_get_boundary_comms_on_vliw() {
-        // A giant chain cut at an articulation vertex plus dust, so the
+        // A 9-chain plus dust under a 4-instruction region target: the
+        // level chop cuts the chain into {0..3}, {4..7}, {8}, so the
         // decomposition produces cross edges.
         let mut b = DagBuilder::new();
         let mut prev = b.instr(Opcode::IntAlu);
@@ -550,7 +551,7 @@ mod tests {
         b.edge(d1, d2).unwrap();
         let dag = b.build().unwrap();
         let m = Machine::chorus_vliw(2);
-        let dec = decompose(&dag, 8);
+        let dec = decompose_with(&dag, &RegionPolicy::new(8).with_region_size(4));
         assert!(!dec.cross_edges().is_empty());
         let parts: Vec<SpaceTimeSchedule> = dec
             .shards()
@@ -566,8 +567,8 @@ mod tests {
 
     #[test]
     fn boundary_comm_inserted_when_consumer_moves_cluster() {
-        // Chain cut into two shards; schedule the second shard on
-        // cluster 1 to force a transfer.
+        // A 7-chain level-chopped into {0..3} and {4..6}; schedule the
+        // second piece on cluster 1 to force a transfer.
         let mut b = DagBuilder::new();
         let mut prev = b.instr(Opcode::IntAlu);
         for _ in 1..7 {
@@ -580,7 +581,7 @@ mod tests {
         b.edge(d1, d2).unwrap();
         let dag = b.build().unwrap();
         let m = Machine::chorus_vliw(2);
-        let dec = decompose(&dag, 8);
+        let dec = decompose_with(&dag, &RegionPolicy::new(8).with_region_size(4));
         assert!(dec.shards().len() >= 3);
         assert!(!dec.cross_edges().is_empty());
         let last_chain_shard = decomposition_last_chain(&dec);
@@ -619,7 +620,7 @@ mod tests {
     }
 
     /// Index of the shard holding the chain's final instruction (the
-    /// downstream piece of the articulation cut).
+    /// last piece of the level chop).
     fn decomposition_last_chain(dec: &Decomposition) -> usize {
         let mut best = (0, InstrId::new(0));
         for (k, s) in dec.shards().iter().enumerate() {
@@ -656,7 +657,8 @@ mod tests {
             LatencyTable::r4000(),
             MemoryModel::raw(),
         );
-        // Giant chain plus dust so decompose cuts the chain.
+        // A 9-chain plus dust under a 4-instruction region target, so
+        // the level chop cuts the chain.
         let mut b = DagBuilder::new();
         let mut prev = b.instr(Opcode::IntAlu);
         for _ in 1..9 {
@@ -668,9 +670,9 @@ mod tests {
         let d2 = b.instr(Opcode::Store);
         b.edge(d1, d2).unwrap();
         let dag = b.build().unwrap();
-        let dec = decompose(&dag, 8);
-        // The chain is cut at articulation vertex 4: pieces {0..3},
-        // {4}, {5..8}. Route the downstream edge 4 → 5.
+        let dec = decompose_with(&dag, &RegionPolicy::new(8).with_region_size(4));
+        // The chain is chopped into pieces {0..3}, {4..7}, {8}. Route
+        // the last cross edge 7 → 8.
         let cross = *dec
             .cross_edges()
             .iter()
@@ -732,7 +734,7 @@ mod tests {
         }
         let dag = b.build().unwrap();
         let m = Machine::raw(2);
-        let dec = decompose(&dag, 2);
+        let dec = decompose_with(&dag, &RegionPolicy::new(2));
         let parts: Vec<SpaceTimeSchedule> = dec
             .shards()
             .iter()
@@ -759,7 +761,7 @@ mod tests {
         b.edge(a, c).unwrap();
         let dag = b.build().unwrap();
         let m = Machine::chorus_vliw(2);
-        let dec = decompose(&dag, 4);
+        let dec = decompose_with(&dag, &RegionPolicy::new(4));
         assert!(dec.is_trivial());
         let part = serial_schedule(dec.shards()[0].dag(), &m);
         let report = stitch(&dag, &m, &dec, std::slice::from_ref(&part)).unwrap();
