@@ -111,8 +111,12 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for embedding between the quotes of a JSON string
+/// literal: `"` and `\` get a backslash, and every control character
+/// below U+0020 becomes `\n`, `\t`, `\r` or a `\u00XX` escape. The
+/// workspace's one JSON string escaper.
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -242,6 +246,7 @@ mod tests {
         let d = Diagnostic::new(Code::EmptyGraph, vec![], "quote \" slash \\ newline \n");
         let j = d.to_json();
         assert!(j.contains("quote \\\" slash \\\\ newline \\n"), "{j}");
+        assert_eq!(escape_json("a\u{1}b\u{1f}"), "a\\u0001b\\u001f");
     }
 
     #[test]

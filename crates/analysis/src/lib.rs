@@ -49,6 +49,6 @@ pub use absint::{
     Interval, NormStatus, PassEffect, PassSummary, Verdict, WindowFact,
 };
 pub use codes::Code;
-pub use diag::{Diagnostic, LintReport, Severity};
+pub use diag::{escape_json, Diagnostic, LintReport, Severity};
 pub use facts::GraphFacts;
 pub use lint::{lint_dag, lint_raw, lint_unit, LintOptions};

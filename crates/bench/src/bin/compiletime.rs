@@ -66,8 +66,8 @@
 
 use std::time::Instant;
 
-use convergent_core::telemetry::{ChromeTraceSink, CounterTotals, MultiSink, TelemetryBuffer};
-use convergent_core::{ConvergentScheduler, PassProfile};
+use convergent_core::telemetry::{chrome_trace, CounterTotals, SinkInterest, TelemetryBuffer};
+use convergent_core::ConvergentScheduler;
 use convergent_ir::{DagBuilder, SchedulingUnit};
 use convergent_machine::Machine;
 use convergent_workloads::{layered, LayeredParams};
@@ -80,7 +80,8 @@ struct Row {
     quartiles: [f64; 3],
     ips: f64,
     reps: u32,
-    profile: PassProfile,
+    /// The spans of the best rep; `per_pass_seconds` is its profile.
+    spans: TelemetryBuffer,
     shard_sizes: Option<Vec<usize>>,
     boundary_comms: Option<usize>,
     /// Regions the decomposer actually produced (1 = monolithic).
@@ -254,11 +255,12 @@ fn main() {
         "instrs", "width", "best (s)", "instrs/sec", "reps", "weight ops", "tel ovh"
     );
     let mut rows: Vec<Row> = Vec::new();
-    let mut trace_sink = trace_path.as_ref().map(|_| ChromeTraceSink::new());
+    // The first instrumented rep of each size, for `--trace`.
+    let mut traced: Vec<TelemetryBuffer> = Vec::new();
     for &n in &sizes {
         let (unit, width) = build_workload(n, components, forced_width);
         let mut best = f64::INFINITY;
-        let mut best_profile = PassProfile::default();
+        let mut best_spans = TelemetryBuffer::default();
         let mut shard_sizes = None;
         let mut boundary_comms = None;
         let mut reps = 0u32;
@@ -267,17 +269,17 @@ fn main() {
         // At least one rep, then keep going until the budget is spent.
         while reps == 0 || clock.elapsed().as_secs_f64() < budget_secs {
             let sched = make_sched();
-            let mut profile = PassProfile::default();
+            let mut spans = TelemetryBuffer::with_interest(SinkInterest::spans_only());
             let start = Instant::now();
             let out = sched
-                .schedule_with_sink(unit.dag(), &machine, &mut profile)
+                .schedule_with_sink(unit.dag(), &machine, &mut spans)
                 .expect("convergent schedules");
             let secs = start.elapsed().as_secs_f64();
             assert!(out.schedule().makespan().get() > 0);
             times.push(secs);
             if secs < best {
                 best = secs;
-                best_profile = profile;
+                best_spans = spans;
                 shard_sizes = out.shard_info().map(|i| i.shard_sizes.clone());
                 boundary_comms = out.shard_info().map(|i| i.boundary_comms);
             }
@@ -293,9 +295,9 @@ fn main() {
         // best-of-N against best-of-N is the honest overhead ratio (a
         // single rep against the min of thousands mostly measures
         // run-to-run noise). Counter totals come from the first rep —
-        // they are deterministic, so every rep agrees — and the trace
-        // sink joins only that rep, keeping the shared timeline one
-        // run per size.
+        // they are deterministic, so every rep agrees — and only that
+        // rep joins the trace, keeping the shared timeline one run per
+        // size.
         let (counters, telemetry_secs) = {
             let mut counters = CounterTotals::default();
             let mut best_tel = f64::INFINITY;
@@ -305,24 +307,14 @@ fn main() {
                 let sched = make_sched();
                 let mut buf = TelemetryBuffer::new();
                 let start = Instant::now();
-                {
-                    let mut multi = MultiSink::new();
-                    multi.push(&mut buf);
-                    if tel_reps == 0 {
-                        if let Some(t) = trace_sink.as_mut() {
-                            multi.push(t);
-                        }
-                    }
-                    sched
-                        .schedule_with_sink(unit.dag(), &machine, &mut multi)
-                        .expect("instrumented convergent schedules");
-                }
+                sched
+                    .schedule_with_sink(unit.dag(), &machine, &mut buf)
+                    .expect("instrumented convergent schedules");
                 let secs = start.elapsed().as_secs_f64();
                 if tel_reps == 0 {
                     counters = buf.counter_total();
-                    if let Some(t) = trace_sink.as_mut() {
-                        // Keep per-size runs disjoint on the timeline.
-                        t.advance_base();
+                    if trace_path.is_some() {
+                        traced.push(buf);
                     }
                 }
                 best_tel = best_tel.min(secs);
@@ -352,7 +344,7 @@ fn main() {
             );
         }
         if show_profile {
-            println!("{}", best_profile.render_table());
+            println!("{}", best_spans.profile_table());
         }
         times.sort_by(f64::total_cmp);
         let quartiles = [1, 2, 3].map(|q| times[(times.len() - 1) * q / 4]);
@@ -363,7 +355,7 @@ fn main() {
             quartiles,
             ips,
             reps,
-            profile: best_profile,
+            spans: best_spans,
             shard_sizes,
             boundary_comms,
             shards_effective,
@@ -372,9 +364,10 @@ fn main() {
         });
     }
 
-    if let (Some(t), Some(path)) = (trace_sink.as_ref(), trace_path.as_ref()) {
-        t.save(path).expect("write chrome trace");
-        println!("wrote {path} ({} events)", t.len());
+    if let Some(path) = &trace_path {
+        std::fs::write(path, chrome_trace(&traced)).expect("write chrome trace");
+        let events: usize = traced.iter().map(|run| run.events().len()).sum();
+        println!("wrote {path} ({events} events)");
     }
 
     if !no_out {
@@ -415,8 +408,9 @@ fn main() {
                 row.n, row.width, row.best, row.quartiles[0], row.quartiles[1], row.quartiles[2], row.ips, row.reps
             ));
             let spans: Vec<String> = row
-                .profile
-                .spans()
+                .spans
+                .profile()
+                .into_iter()
                 .map(|(name, secs, _)| format!("\"{name}\": {secs:.6}"))
                 .collect();
             json.push_str(&spans.join(", "));

@@ -50,7 +50,7 @@ use convergent_analysis::{lint_unit, LintOptions};
 use convergent_bench::cases::{case_stream, machine_from_spec, Case, FAMILIES, MACHINES};
 use convergent_bench::parallel::{default_jobs, jobs_from_args};
 use convergent_core::parallel::run_cells;
-use convergent_core::telemetry::ChromeTraceSink;
+use convergent_core::telemetry::{chrome_trace, TelemetryBuffer};
 use convergent_core::{sequence_proof_counts, verify_sequence, ConvergentScheduler, Sequence};
 use convergent_ir::{to_text, ClusterId, Dag, DagBuilder, Instruction, Opcode, SchedulingUnit};
 use convergent_machine::Machine;
@@ -326,12 +326,13 @@ fn shrink(unit: &SchedulingUnit, machine: &Machine, scheduler: &str) -> (DagSpec
 }
 
 /// `--trace`: replays the first [`TRACE_CASES`] schedulable cases
-/// through the convergent driver with full telemetry into one shared
-/// Chrome-trace timeline (`advance_base` keeps replays disjoint).
+/// through the convergent driver with full telemetry, one buffer per
+/// replay, rendered as one Chrome-trace timeline with the replays laid
+/// end to end.
 /// Legitimate rejections just skip ahead; the sweep proper has already
 /// held these cases to the referees.
 fn write_trace(cases: &[Case], path: &str) {
-    let mut sink = ChromeTraceSink::new();
+    let mut runs = Vec::new();
     let mut traced = 0usize;
     for case in cases {
         if traced == TRACE_CASES {
@@ -343,19 +344,18 @@ fn write_trace(cases: &[Case], path: &str) {
         } else {
             ConvergentScheduler::vliw_tuned()
         };
+        let mut buf = TelemetryBuffer::new();
         if sched
-            .schedule_with_sink(unit.dag(), &machine, &mut sink)
+            .schedule_with_sink(unit.dag(), &machine, &mut buf)
             .is_ok()
         {
             traced += 1;
         }
-        sink.advance_base();
+        runs.push(buf);
     }
-    sink.save(path).expect("write chrome trace");
-    println!(
-        "fuzz: traced {traced} convergent run(s) to {path} ({} events)",
-        sink.len()
-    );
+    std::fs::write(path, chrome_trace(&runs)).expect("write chrome trace");
+    let events: usize = runs.iter().map(|run| run.events().len()).sum();
+    println!("fuzz: traced {traced} convergent run(s) to {path} ({events} events)");
 }
 
 /// Verify the convergent sequences the sweep will exercise — from

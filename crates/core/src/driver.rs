@@ -22,8 +22,7 @@ use convergent_sim::{stitch, Assignment, SpaceTimeSchedule};
 
 use crate::parallel::run_indexed;
 use crate::telemetry::{
-    measure, ConvergenceMetrics, CounterTotals, SinkInterest, SpanKind, TelemetryBuffer,
-    TelemetrySink,
+    measure, CounterTotals, SinkInterest, SpanKind, TelemetryBuffer, TelemetrySink,
 };
 use crate::{PassContext, PassScratch, PreferenceMap, Sequence};
 
@@ -38,11 +37,6 @@ pub struct PassRecord {
     /// `true` for passes that only adjust temporal preferences
     /// (excluded from the paper's Figures 7 and 9).
     pub time_only: bool,
-    /// Full convergence metrics for this pass, populated only when a
-    /// telemetry sink declared [`SinkInterest::convergence`] (the
-    /// sweep costs a pass worth of map reads). `None` merges shard
-    /// traces and plain runs.
-    pub metrics: Option<ConvergenceMetrics>,
 }
 
 /// The driver's internal telemetry handle: one sink, the run epoch
@@ -421,7 +415,6 @@ impl ConvergentScheduler {
                 name: pass.name(),
                 changed_fraction,
                 time_only: pass.is_time_only(),
-                metrics,
             });
             tel.span_from(pass.name(), SpanKind::Pass, t_pass);
             if delta.is_some() || metrics.is_some() {
@@ -502,8 +495,8 @@ impl ConvergentScheduler {
     /// [interest](TelemetrySink::interest) asks for them, and the
     /// preference map after `"<init>"` and each pass
     /// ([`TelemetrySink::preference_map`], monolithic runs only). A
-    /// [`PassProfile`](crate::PassProfile) is such a sink: it
-    /// aggregates the stage and pass spans into the `--profile` table.
+    /// spans-only [`TelemetryBuffer`] is enough for the `--profile`
+    /// table ([`TelemetryBuffer::profile_table`]).
     /// Sharded runs buffer per-shard events on the worker threads and
     /// replay them in shard order after the join, so event order is
     /// deterministic; a synthetic `shard{k}` container span brackets
@@ -644,7 +637,6 @@ impl ConvergentScheduler {
                         name: r.name,
                         changed_fraction: 0.0,
                         time_only: r.time_only,
-                        metrics: None,
                     });
                 }
                 records[j].changed_fraction += w * r.changed_fraction;
@@ -905,18 +897,19 @@ mod tests {
         let plain = ConvergentScheduler::vliw_default()
             .schedule(&dag, &m)
             .unwrap();
-        let mut profile = crate::PassProfile::default();
+        let mut buf = TelemetryBuffer::with_interest(SinkInterest::spans_only());
         let out = ConvergentScheduler::vliw_default()
-            .schedule_with_sink(&dag, &m, &mut profile)
+            .schedule_with_sink(&dag, &m, &mut buf)
             .unwrap();
         assert_eq!(plain.assignment(), out.assignment());
         assert_eq!(plain.schedule(), out.schedule());
-        let names: Vec<_> = profile.spans().map(|(n, _, _)| n).collect();
+        let profile = buf.profile();
+        let names: Vec<_> = profile.iter().map(|&(n, _, _)| n).collect();
         assert_eq!(names.first(), Some(&"<init>"));
         assert!(names.contains(&"INITTIME"));
         assert!(names.contains(&"<readoff>"));
         assert_eq!(names.last(), Some(&"<listsched>"));
-        assert!(profile.spans().all(|(_, s, _)| s >= 0.0));
+        assert!(profile.iter().all(|&(_, s, _)| s >= 0.0));
     }
 
     #[test]
@@ -1020,13 +1013,13 @@ mod tests {
     fn sharded_profile_reports_shard_and_stitch_spans() {
         let dag = multi_component_dag();
         let m = Machine::chorus_vliw(4);
-        let mut profile = crate::PassProfile::default();
+        let mut buf = TelemetryBuffer::with_interest(SinkInterest::spans_only());
         let out = ConvergentScheduler::vliw_default()
             .with_shards(3)
-            .schedule_with_sink(&dag, &m, &mut profile)
+            .schedule_with_sink(&dag, &m, &mut buf)
             .unwrap();
         assert!(out.shard_info().is_some());
-        let names: Vec<_> = profile.spans().map(|(n, _, _)| n).collect();
+        let names: Vec<_> = buf.profile().into_iter().map(|(n, _, _)| n).collect();
         assert_eq!(names.first(), Some(&"<decompose>"));
         assert_eq!(names.last(), Some(&"<stitch>"));
         assert!(names.iter().any(|n| n.starts_with("shard0/")));
@@ -1074,10 +1067,7 @@ mod tests {
         );
         let totals = buf.counter_total();
         assert!(totals.weight_ops() > 0);
-        // The trace records carry the same metrics.
-        assert!(out.trace().records().iter().all(|r| r.metrics.is_some()));
-        // Spans-only interest produces no counters/convergence and
-        // leaves the trace metrics empty.
+        // Spans-only interest produces no counters/convergence.
         let mut lean = TelemetryBuffer::with_interest(SinkInterest::spans_only());
         let out2 = ConvergentScheduler::vliw_default()
             .schedule_with_sink(&dag, &m, &mut lean)
@@ -1085,7 +1075,6 @@ mod tests {
         assert_eq!(plain.schedule(), out2.schedule());
         assert!(lean.counter_total().is_zero());
         assert_eq!(lean.convergence_entries().count(), 0);
-        assert!(out2.trace().records().iter().all(|r| r.metrics.is_none()));
     }
 
     #[test]

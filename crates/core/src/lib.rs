@@ -55,7 +55,6 @@ mod driver;
 pub mod parallel;
 mod pass;
 pub mod passes;
-mod profile;
 mod sequence;
 pub mod telemetry;
 mod weights;
@@ -70,6 +69,5 @@ pub use convergent_analysis::{
 pub use convergent_ir::{assess, CutAssessment, CutVerdict};
 pub use driver::{ConvergenceTrace, ConvergentScheduler, PassRecord, ScheduleOutcome, ShardInfo};
 pub use pass::{Pass, PassContext, PassContract, PassScratch};
-pub use profile::PassProfile;
 pub use sequence::Sequence;
 pub use weights::{PreferenceMap, WeightOp};

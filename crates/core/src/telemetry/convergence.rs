@@ -52,8 +52,15 @@ impl ConvergenceMetrics {
     /// Renders the metrics as a flat JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
+        format!("{{{}}}", self.json_members())
+    }
+
+    /// The four `"name":value` members, comma-separated and without
+    /// braces: the one rendering that [`ConvergenceMetrics::to_json`]
+    /// and the Chrome trace's `convergence` track share.
+    pub(crate) fn json_members(&self) -> String {
         format!(
-            "{{\"mean_confidence\":{},\"decision_churn\":{},\"preference_entropy\":{},\"preplacement_coverage\":{}}}",
+            "\"mean_confidence\":{},\"decision_churn\":{},\"preference_entropy\":{},\"preplacement_coverage\":{}",
             fmt_f64(self.mean_confidence),
             fmt_f64(self.decision_churn),
             fmt_f64(self.preference_entropy),

@@ -130,23 +130,12 @@ impl CounterTotals {
     /// driver emits.
     #[must_use]
     pub fn delta_since(&self, base: &CounterTotals) -> CounterTotals {
-        let mut out = CounterTotals::default();
-        for ((name, v), (_, b)) in self.named().iter().zip(base.named().iter()) {
-            out.set_by_name(name, v.saturating_sub(*b));
-        }
-        out
+        self.zip_with(base, u64::saturating_sub)
     }
 
     /// Field-wise accumulate.
     pub fn merge(&mut self, other: &CounterTotals) {
-        for (name, v) in other.named() {
-            let cur = self
-                .named()
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0, |&(_, v)| v);
-            self.set_by_name(name, cur + v);
-        }
+        *self = self.zip_with(other, |a, b| a + b);
     }
 
     /// Renders the counters as a flat JSON object (all fields, fixed
@@ -161,29 +150,31 @@ impl CounterTotals {
         out
     }
 
-    fn set_by_name(&mut self, name: &str, v: u64) {
-        match name {
-            "set" => self.set = v,
-            "scale" => self.scale = v,
-            "scale_cluster" => self.scale_cluster = v,
-            "scale_time" => self.scale_time = v,
-            "set_window" => self.set_window = v,
-            "forbid_cluster" => self.forbid_cluster = v,
-            "normalize" => self.normalize = v,
-            "reset_uniform" => self.reset_uniform = v,
-            "row_batch" => self.row_batch = v,
-            "band_growths" => self.band_growths = v,
-            "band_densifications" => self.band_densifications = v,
-            "boundary_comms" => self.boundary_comms = v,
-            "governor_accepts" => self.governor_accepts = v,
-            "governor_rejects" => self.governor_rejects = v,
-            "validate_ok" => self.validate_ok = v,
-            "validate_fail" => self.validate_fail = v,
-            "oracle_agree" => self.oracle_agree = v,
-            "oracle_disagree" => self.oracle_disagree = v,
-            "contracts_proven" => self.contracts_proven = v,
-            "contracts_unproven" => self.contracts_unproven = v,
-            _ => unreachable!("unknown counter {name}"),
+    /// Applies `f` to each pair of matching fields.
+    fn zip_with(&self, other: &CounterTotals, f: impl Fn(u64, u64) -> u64) -> CounterTotals {
+        CounterTotals {
+            set: f(self.set, other.set),
+            scale: f(self.scale, other.scale),
+            scale_cluster: f(self.scale_cluster, other.scale_cluster),
+            scale_time: f(self.scale_time, other.scale_time),
+            set_window: f(self.set_window, other.set_window),
+            forbid_cluster: f(self.forbid_cluster, other.forbid_cluster),
+            normalize: f(self.normalize, other.normalize),
+            reset_uniform: f(self.reset_uniform, other.reset_uniform),
+            row_batch: f(self.row_batch, other.row_batch),
+            argmax_hits: f(self.argmax_hits, other.argmax_hits),
+            argmax_misses: f(self.argmax_misses, other.argmax_misses),
+            band_growths: f(self.band_growths, other.band_growths),
+            band_densifications: f(self.band_densifications, other.band_densifications),
+            boundary_comms: f(self.boundary_comms, other.boundary_comms),
+            governor_accepts: f(self.governor_accepts, other.governor_accepts),
+            governor_rejects: f(self.governor_rejects, other.governor_rejects),
+            validate_ok: f(self.validate_ok, other.validate_ok),
+            validate_fail: f(self.validate_fail, other.validate_fail),
+            oracle_agree: f(self.oracle_agree, other.oracle_agree),
+            oracle_disagree: f(self.oracle_disagree, other.oracle_disagree),
+            contracts_proven: f(self.contracts_proven, other.contracts_proven),
+            contracts_unproven: f(self.contracts_unproven, other.contracts_unproven),
         }
     }
 }

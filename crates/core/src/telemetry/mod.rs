@@ -11,8 +11,8 @@
 //!   `<decompose>`, `<stitch>`) and passes → the metrics phase
 //!   (`PASS/<metrics>`). Paths are plain strings; shard membership is
 //!   encoded as a `shard{k}/` prefix (see [`split_shard_prefix`]). The
-//!   legacy [`PassProfile`](crate::PassProfile) is now just one sink
-//!   implementation, so `--profile` output is unchanged.
+//!   `--profile` table sums the stage and pass spans of a recorded
+//!   run ([`TelemetryBuffer::profile_table`]).
 //! - **Counters** — hot-path event counts batched per pass
 //!   ([`CounterTotals`]): weight ops by kind, band
 //!   growths/densifications, boundary
@@ -29,10 +29,13 @@
 //!   pass ([`TelemetrySink::preference_map`]), the hook behind the
 //!   paper's Figure 4. Monolithic runs only; per-shard buffers drop it.
 //!
-//! One exporter ships with the module: [`ChromeTraceSink`] renders
-//! Perfetto-loadable trace-event JSON (`csched --trace out.json`).
-//! Telemetry never alters scheduling decisions — a suite-wide test
-//! proves schedules are byte-identical with sinks attached or not.
+//! One recorder ships with the module: [`TelemetryBuffer`] keeps every
+//! event a run emits, and the `--profile` table and the Chrome trace
+//! are renderings of recorded buffers. [`chrome_trace`] writes
+//! Perfetto-loadable trace-event JSON (`csched --trace out.json`) from
+//! one or more runs laid end to end. Telemetry never alters scheduling
+//! decisions — a suite-wide test proves schedules are byte-identical
+//! with sinks attached or not.
 
 mod convergence;
 mod counters;
@@ -43,7 +46,6 @@ pub use convergence::{measure, ConvergenceMetrics, CONFIDENCE_CAP, CONVERGENCE_S
 pub use counters::CounterTotals;
 pub(crate) use counters::{BandStats, MapCounters, OpKind};
 pub use sink::{
-    split_shard_prefix, MultiSink, SinkInterest, SpanKind, TelemetryBuffer, TelemetryEvent,
-    TelemetrySink,
+    split_shard_prefix, SinkInterest, SpanKind, TelemetryBuffer, TelemetryEvent, TelemetrySink,
 };
-pub use trace_json::{validate_chrome_trace, ChromeTraceSink, TraceStats};
+pub use trace_json::{chrome_trace, validate_chrome_trace, TraceStats};

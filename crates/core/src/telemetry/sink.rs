@@ -2,11 +2,12 @@
 //!
 //! The driver never formats anything — it emits *events* (hierarchical
 //! spans, batched counter deltas, convergence metrics) into a
-//! [`TelemetrySink`] and each sink decides what to keep:
-//! [`crate::PassProfile`] keeps only stage/pass spans (so `--profile`
-//! output is unchanged), [`super::ChromeTraceSink`] keeps everything
-//! as a Perfetto-loadable trace, and `()` keeps nothing (it is what
-//! the untraced [`crate::ConvergentScheduler::schedule`] runs with).
+//! [`TelemetrySink`] and each sink decides what to keep. The library
+//! ships one recorder: [`TelemetryBuffer`] keeps every event, and the
+//! `--profile` table ([`TelemetryBuffer::profile_table`]) and the
+//! Chrome trace ([`super::chrome_trace`]) are renderings of recorded
+//! buffers. `()` keeps nothing (it is what the untraced
+//! [`crate::ConvergentScheduler::schedule`] runs with).
 //! A sink declares up front which *expensive* event families it wants
 //! ([`SinkInterest`]); the driver skips computing counters/convergence
 //! metrics nobody asked for.
@@ -67,15 +68,6 @@ impl SinkInterest {
     #[must_use]
     pub fn spans_only() -> Self {
         SinkInterest::default()
-    }
-
-    /// Field-wise or.
-    #[must_use]
-    pub fn union(self, other: SinkInterest) -> SinkInterest {
-        SinkInterest {
-            counters: self.counters || other.counters,
-            convergence: self.convergence || other.convergence,
-        }
     }
 }
 
@@ -173,10 +165,11 @@ pub enum TelemetryEvent {
     },
 }
 
-/// A sink that records events for later replay — how sharded runs keep
-/// worker-thread telemetry deterministic (each shard buffers, the
-/// driver replays buffers in shard order after the join), and a handy
-/// programmatic capture for tests and JSON reports.
+/// The recording sink: every event in arrival order. Sharded runs keep
+/// worker-thread telemetry deterministic with it (each shard buffers,
+/// the driver replays buffers in shard order after the join), and the
+/// `--profile` table, the Chrome trace and the `--json` telemetry
+/// reports are all renderings of a recorded buffer.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetryBuffer {
     interest: SinkInterest,
@@ -269,6 +262,57 @@ impl TelemetryBuffer {
             _ => None,
         })
     }
+
+    /// Stage and pass spans summed by full path: `(path, seconds,
+    /// hits)` in first-seen order. A pass the sequence runs more than
+    /// once is one row that counts every run in its hits; shard
+    /// replays keep their `shard{k}/` prefix, so each shard gets its
+    /// own rows. Run, shard and phase spans are left out, since they
+    /// overlap the stages and passes.
+    #[must_use]
+    pub fn profile(&self) -> Vec<(&str, f64, u32)> {
+        let mut rows: Vec<(&str, f64, u32)> = Vec::new();
+        for ev in &self.events {
+            if let TelemetryEvent::Span {
+                path,
+                kind: SpanKind::Stage | SpanKind::Pass,
+                dur_secs,
+                ..
+            } = ev
+            {
+                match rows.iter_mut().find(|row| row.0 == path) {
+                    Some(row) => {
+                        row.1 += dur_secs;
+                        row.2 += 1;
+                    }
+                    None => rows.push((path, *dur_secs, 1)),
+                }
+            }
+        }
+        rows
+    }
+
+    /// The `--profile` table: [`TelemetryBuffer::profile`] as aligned
+    /// rows of path, seconds, share of the total and hits, then the
+    /// total.
+    #[must_use]
+    pub fn profile_table(&self) -> String {
+        let rows = self.profile();
+        let total: f64 = rows.iter().map(|row| row.1).sum();
+        let width = rows.iter().map(|row| row.0.len()).max().unwrap_or(4).max(4);
+        let mut out = format!(
+            "{:<width$}  {:>12}  {:>6}  {:>4}\n",
+            "pass", "seconds", "share", "hits"
+        );
+        for (name, secs, hits) in &rows {
+            out.push_str(&format!(
+                "{name:<width$}  {secs:>12.6}  {:>5.1}%  {hits:>4}\n",
+                100.0 * secs / total.max(f64::MIN_POSITIVE)
+            ));
+        }
+        out.push_str(&format!("{:<width$}  {total:>12.6}\n", "total"));
+        out
+    }
 }
 
 impl TelemetrySink for TelemetryBuffer {
@@ -297,74 +341,6 @@ impl TelemetrySink for TelemetryBuffer {
             path: path.to_string(),
             metrics: *metrics,
         });
-    }
-}
-
-/// Fans one event stream out to several sinks (e.g. `--profile` and
-/// `--trace` on the same run). Interest is the union of the members'.
-#[derive(Default)]
-pub struct MultiSink<'a> {
-    sinks: Vec<&'a mut dyn TelemetrySink>,
-}
-
-impl<'a> MultiSink<'a> {
-    /// An empty fan-out.
-    #[must_use]
-    pub fn new() -> Self {
-        MultiSink::default()
-    }
-
-    /// Adds a member sink.
-    pub fn push(&mut self, sink: &'a mut dyn TelemetrySink) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of member sinks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// `true` when no sink was added.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl TelemetrySink for MultiSink<'_> {
-    fn interest(&self) -> SinkInterest {
-        self.sinks
-            .iter()
-            .fold(SinkInterest::spans_only(), |acc, s| acc.union(s.interest()))
-    }
-
-    fn span(&mut self, path: &str, kind: SpanKind, start_secs: f64, dur_secs: f64) {
-        for s in &mut self.sinks {
-            s.span(path, kind, start_secs, dur_secs);
-        }
-    }
-
-    fn counters(&mut self, path: &str, delta: &CounterTotals) {
-        for s in &mut self.sinks {
-            if s.interest().counters {
-                s.counters(path, delta);
-            }
-        }
-    }
-
-    fn convergence(&mut self, path: &str, metrics: &ConvergenceMetrics) {
-        for s in &mut self.sinks {
-            if s.interest().convergence {
-                s.convergence(path, metrics);
-            }
-        }
-    }
-
-    fn preference_map(&mut self, path: &str, map: &PreferenceMap) {
-        for s in &mut self.sinks {
-            s.preference_map(path, map);
-        }
     }
 }
 
@@ -422,26 +398,55 @@ mod tests {
     }
 
     #[test]
-    fn multi_sink_unions_interest_and_fans_out() {
-        let mut spans_only = TelemetryBuffer::with_interest(SinkInterest::spans_only());
-        let mut all = TelemetryBuffer::new();
-        let mut multi = MultiSink::new();
-        assert!(multi.is_empty());
-        multi.push(&mut spans_only);
-        multi.push(&mut all);
-        assert_eq!(multi.len(), 2);
-        assert_eq!(multi.interest(), SinkInterest::all());
-        multi.span("X", SpanKind::Pass, 0.0, 1.0);
-        multi.counters(
-            "X",
-            &CounterTotals {
-                set: 1,
-                ..CounterTotals::default()
-            },
+    fn profile_aggregates_by_path_in_order() {
+        let mut buf = TelemetryBuffer::new();
+        buf.span("<init>", SpanKind::Stage, 0.0, 0.5);
+        buf.span("PATH", SpanKind::Pass, 0.5, 1.0);
+        buf.span("PATHPROP", SpanKind::Pass, 1.5, 0.25);
+        buf.span("PATHPROP", SpanKind::Pass, 1.75, 0.25);
+        assert_eq!(
+            buf.profile(),
+            vec![("<init>", 0.5, 1), ("PATH", 1.0, 1), ("PATHPROP", 0.5, 2)]
         );
-        drop(multi);
-        // The spans-only member never sees counters.
-        assert_eq!(spans_only.events().len(), 1);
-        assert_eq!(all.events().len(), 2);
+        assert_eq!(
+            buf.profile_table(),
+            concat!(
+                "pass           seconds   share  hits\n",
+                "<init>        0.500000   25.0%     1\n",
+                "PATH          1.000000   50.0%     1\n",
+                "PATHPROP      0.500000   25.0%     2\n",
+                "total         2.000000\n",
+            )
+        );
+    }
+
+    #[test]
+    fn profile_keeps_only_stage_and_pass_spans() {
+        let mut buf = TelemetryBuffer::new();
+        buf.span("<run>", SpanKind::Run, 0.0, 2.0);
+        buf.span("shard0", SpanKind::Shard, 0.0, 1.0);
+        buf.span("<init>", SpanKind::Stage, 0.0, 0.5);
+        buf.span("PATH", SpanKind::Pass, 0.5, 1.0);
+        buf.span("PATH/<metrics>", SpanKind::Phase, 0.6, 0.2);
+        assert_eq!(buf.profile(), vec![("<init>", 0.5, 1), ("PATH", 1.0, 1)]);
+    }
+
+    #[test]
+    fn profile_merges_replayed_shard_spans() {
+        // Shard buffers replay the same span names repeatedly; the
+        // profile aggregates by full (prefixed) path.
+        let mut buf = TelemetryBuffer::new();
+        buf.span("<decompose>", SpanKind::Stage, 0.0, 0.1);
+        buf.span("shard0/PATH", SpanKind::Pass, 0.0, 0.5);
+        buf.span("shard0/PATH", SpanKind::Pass, 0.5, 0.5);
+        buf.span("shard0/<listsched>", SpanKind::Stage, 1.0, 0.25);
+        assert_eq!(
+            buf.profile(),
+            vec![
+                ("<decompose>", 0.1, 1),
+                ("shard0/PATH", 1.0, 2),
+                ("shard0/<listsched>", 0.25, 1)
+            ]
+        );
     }
 }

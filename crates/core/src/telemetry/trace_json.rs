@@ -1,6 +1,6 @@
-//! Chrome trace-event JSON exporter (plus a small validating parser).
+//! Chrome trace-event JSON rendering (plus a small validating parser).
 //!
-//! [`ChromeTraceSink`] renders the driver's telemetry as the trace
+//! [`chrome_trace`] renders recorded [`TelemetryBuffer`]s as the trace
 //! event format that Perfetto and `chrome://tracing` load: `"X"`
 //! complete events for spans, `"C"` counter events for per-pass
 //! counter/convergence tracks, and `"M"` metadata events naming the
@@ -13,12 +13,13 @@
 //! an equally hand-rolled JSON reader, which is what the check-script
 //! trace smoke and the golden-file tests run against.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use super::convergence::ConvergenceMetrics;
+use convergent_analysis::escape_json;
+
 use super::counters::CounterTotals;
-use super::sink::{split_shard_prefix, SinkInterest, SpanKind, TelemetrySink};
+use super::sink::{split_shard_prefix, SpanKind, TelemetryBuffer, TelemetryEvent};
 
 /// One rendered trace event.
 #[derive(Clone, Debug)]
@@ -33,206 +34,194 @@ struct Event {
     args: String,
 }
 
-/// A [`TelemetrySink`] that renders Chrome trace-event JSON.
+/// Renders `runs` as one Chrome trace-event JSON document
+/// (`{"traceEvents": [...]}`), metadata first, then every event in
+/// nondecreasing `ts` order.
 ///
-/// One sink can absorb several runs back to back (the `compiletime`
-/// bench traces every size into one file): call
-/// [`ChromeTraceSink::advance_base`] between runs so the next run's
-/// events start after everything recorded so far.
-#[derive(Clone, Debug, Default)]
-pub struct ChromeTraceSink {
-    events: Vec<Event>,
-    /// Offset (µs) added to every incoming timestamp.
-    base_us: f64,
-    /// Latest event end seen (µs, absolute).
-    max_end_us: f64,
-    /// End of the most recent span (µs, absolute) — counter events are
-    /// stamped here, right where the span they describe ended.
-    last_span_end_us: f64,
+/// Runs are laid end to end: each run's timestamps are offset past the
+/// latest span end of the runs before it, so several runs (the
+/// `compiletime` sizes, the traced `fuzz` cases) share one timeline
+/// without overlapping. Counter and convergence samples are stamped at
+/// the end of the span recorded just before them, right where the span
+/// they describe ended.
+#[must_use]
+pub fn chrome_trace(runs: &[TelemetryBuffer]) -> String {
+    let mut events = Vec::new();
+    let mut max_end_us = 0.0f64;
+    let mut last_span_end_us = 0.0f64;
+    for run in runs {
+        let base_us = max_end_us;
+        for ev in run.events() {
+            match ev {
+                TelemetryEvent::Span {
+                    path,
+                    kind,
+                    start_secs,
+                    dur_secs,
+                } => {
+                    let (tid, name) = match split_shard_prefix(path) {
+                        (Some(k), "") => ((k + 1) as u64, format!("shard{k}")),
+                        (Some(k), inner) => ((k + 1) as u64, inner.to_string()),
+                        (None, _) => (0, path.clone()),
+                    };
+                    let cat = match kind {
+                        SpanKind::Run => "run",
+                        SpanKind::Shard => "shard",
+                        SpanKind::Stage => "stage",
+                        SpanKind::Pass => "pass",
+                        SpanKind::Phase => "phase",
+                    };
+                    let ts = base_us + start_secs * 1e6;
+                    let dur = dur_secs * 1e6;
+                    max_end_us = max_end_us.max(ts + dur);
+                    last_span_end_us = ts + dur;
+                    events.push(Event {
+                        name,
+                        cat,
+                        ph: 'X',
+                        ts_us: ts,
+                        dur_us: Some(dur),
+                        tid,
+                        args: String::new(),
+                    });
+                }
+                TelemetryEvent::Counters { path, delta } => {
+                    push_counter_groups(&mut events, path, delta, last_span_end_us);
+                }
+                TelemetryEvent::Convergence { path, metrics } => events.push(Event {
+                    name: track("convergence", path),
+                    cat: "convergence",
+                    ph: 'C',
+                    ts_us: last_span_end_us,
+                    dur_us: None,
+                    tid: 0,
+                    args: metrics.json_members(),
+                }),
+            }
+        }
+    }
+    write_json(&events)
 }
 
-impl ChromeTraceSink {
-    /// An empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        ChromeTraceSink::default()
+/// The counter track `group` for events of `path`: shard `k`'s samples
+/// get their own `group (shard{k})` track.
+fn track(group: &str, path: &str) -> String {
+    match split_shard_prefix(path).0 {
+        Some(k) => format!("{group} (shard{k})"),
+        None => group.to_string(),
     }
+}
 
-    /// Number of events recorded so far (spans + counters).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Moves the time base past everything recorded so far, so a
-    /// subsequent run appears after (not on top of) the previous one.
-    pub fn advance_base(&mut self) {
-        self.base_us = self.max_end_us;
-    }
-
-    /// Records a standalone instantaneous counter sample at the end of
-    /// the trace — used by harnesses to append referee verdicts or
-    /// other totals that are not tied to a driver span.
-    pub fn note_counters(&mut self, track: &str, delta: &CounterTotals) {
-        let ts = self.max_end_us;
-        self.push_counter_groups(track, delta, ts);
-    }
-
-    fn push_counter_groups(&mut self, suffix: &str, delta: &CounterTotals, ts_us: f64) {
-        let groups: [(&str, &[(&str, u64)]); 6] = [
-            (
-                "weight ops",
-                &[
-                    ("set", delta.set),
-                    ("scale", delta.scale),
-                    ("scale_cluster", delta.scale_cluster),
-                    ("scale_time", delta.scale_time),
-                    ("set_window", delta.set_window),
-                    ("forbid_cluster", delta.forbid_cluster),
-                    ("normalize", delta.normalize),
-                    ("reset_uniform", delta.reset_uniform),
-                    ("row_batch", delta.row_batch),
-                ],
-            ),
-            (
-                "band",
-                &[
-                    ("growths", delta.band_growths),
-                    ("densifications", delta.band_densifications),
-                ],
-            ),
-            ("boundary comms", &[("inserted", delta.boundary_comms)]),
-            (
-                "governor",
-                &[
-                    ("accepts", delta.governor_accepts),
-                    ("rejects", delta.governor_rejects),
-                ],
-            ),
-            (
-                "referee",
-                &[
-                    ("validate_ok", delta.validate_ok),
-                    ("validate_fail", delta.validate_fail),
-                    ("oracle_agree", delta.oracle_agree),
-                    ("oracle_disagree", delta.oracle_disagree),
-                ],
-            ),
-            (
-                "contracts",
-                &[
-                    ("proven", delta.contracts_proven),
-                    ("unproven", delta.contracts_unproven),
-                ],
-            ),
-        ];
-        for (group, fields) in groups {
-            if fields.iter().all(|&(_, v)| v == 0) {
-                continue;
-            }
-            let mut args = String::new();
-            for (k, v) in fields {
-                if !args.is_empty() {
-                    args.push(',');
-                }
-                let _ = write!(args, "{}:{v}", json_string(k));
-            }
-            let name = if suffix.is_empty() {
-                group.to_string()
-            } else {
-                format!("{group} ({suffix})")
-            };
-            self.events.push(Event {
-                name,
-                cat: "counters",
-                ph: 'C',
-                ts_us,
-                dur_us: None,
-                tid: 0,
-                args,
-            });
+/// One `"C"` event per counter group with a nonzero member.
+fn push_counter_groups(events: &mut Vec<Event>, path: &str, delta: &CounterTotals, ts_us: f64) {
+    let groups: [(&str, &[(&str, u64)]); 6] = [
+        (
+            "weight ops",
+            &[
+                ("set", delta.set),
+                ("scale", delta.scale),
+                ("scale_cluster", delta.scale_cluster),
+                ("scale_time", delta.scale_time),
+                ("set_window", delta.set_window),
+                ("forbid_cluster", delta.forbid_cluster),
+                ("normalize", delta.normalize),
+                ("reset_uniform", delta.reset_uniform),
+                ("row_batch", delta.row_batch),
+            ],
+        ),
+        (
+            "band",
+            &[
+                ("growths", delta.band_growths),
+                ("densifications", delta.band_densifications),
+            ],
+        ),
+        ("boundary comms", &[("inserted", delta.boundary_comms)]),
+        (
+            "governor",
+            &[
+                ("accepts", delta.governor_accepts),
+                ("rejects", delta.governor_rejects),
+            ],
+        ),
+        (
+            "referee",
+            &[
+                ("validate_ok", delta.validate_ok),
+                ("validate_fail", delta.validate_fail),
+                ("oracle_agree", delta.oracle_agree),
+                ("oracle_disagree", delta.oracle_disagree),
+            ],
+        ),
+        (
+            "contracts",
+            &[
+                ("proven", delta.contracts_proven),
+                ("unproven", delta.contracts_unproven),
+            ],
+        ),
+    ];
+    for (group, fields) in groups {
+        if fields.iter().all(|&(_, v)| v == 0) {
+            continue;
         }
-    }
-
-    /// Renders the trace as a JSON document (`{"traceEvents": [...]}`).
-    /// Events are emitted in nondecreasing `ts` order, metadata first.
-    #[must_use]
-    pub fn write_json(&self) -> String {
-        let mut order: Vec<usize> = (0..self.events.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.events[a]
-                .ts_us
-                .partial_cmp(&self.events[b].ts_us)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
+        let args: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        events.push(Event {
+            name: track(group, path),
+            cat: "counters",
+            ph: 'C',
+            ts_us,
+            dur_us: None,
+            tid: 0,
+            args: args.join(","),
         });
-        let mut tids: BTreeMap<u64, &'static str> = BTreeMap::new();
-        for ev in &self.events {
-            tids.entry(ev.tid).or_insert("");
-        }
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut emit = |line: String, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push('\n');
-            out.push_str(&line);
-        };
-        emit(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"ts\":0,\"args\":{\"name\":\"csched\"}}"
-                .to_string(),
-            &mut first,
-        );
-        for &tid in tids.keys() {
-            let label = if tid == 0 {
-                "driver".to_string()
-            } else {
-                format!("shard{}", tid - 1)
-            };
-            emit(
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"ts\":0,\"args\":{{\"name\":{}}}}}",
-                    json_string(&label)
-                ),
-                &mut first,
-            );
-        }
-        for &k in &order {
-            let ev = &self.events[k];
-            let mut line = format!(
-                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{}",
-                json_string(&ev.name),
-                ev.cat,
-                ev.ph,
-                ev.tid,
-                fmt_us(ev.ts_us)
-            );
-            if let Some(dur) = ev.dur_us {
-                let _ = write!(line, ",\"dur\":{}", fmt_us(dur));
-            }
-            let _ = write!(line, ",\"args\":{{{}}}}}", ev.args);
-            emit(line, &mut first);
-        }
-        out.push_str("\n]}\n");
-        out
     }
+}
 
-    /// Writes the rendered trace to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from creating or writing the file.
-    pub fn save(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.write_json())
+/// The JSON document: the process and thread metadata, then `events`
+/// sorted by `ts` (stable, so ties keep their recording order).
+fn write_json(events: &[Event]) -> String {
+    let mut order: Vec<usize> = (0..events.len()).collect();
+    order.sort_by(|&a, &b| {
+        events[a]
+            .ts_us
+            .partial_cmp(&events[b].ts_us)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    let tids: BTreeSet<u64> = events.iter().map(|ev| ev.tid).collect();
+    let mut lines = vec![
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"ts\":0,\"args\":{\"name\":\"csched\"}}"
+            .to_string(),
+    ];
+    for tid in tids {
+        let label = if tid == 0 {
+            "driver".to_string()
+        } else {
+            format!("shard{}", tid - 1)
+        };
+        lines.push(format!(
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"ts\":0,\"args\":{{\"name\":\"{}\"}}}}",
+            escape_json(&label)
+        ));
     }
+    for &k in &order {
+        let ev = &events[k];
+        let mut line = format!(
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{}",
+            escape_json(&ev.name),
+            ev.cat,
+            ev.ph,
+            ev.tid,
+            fmt_us(ev.ts_us)
+        );
+        if let Some(dur) = ev.dur_us {
+            let _ = write!(line, ",\"dur\":{}", fmt_us(dur));
+        }
+        let _ = write!(line, ",\"args\":{{{}}}}}", ev.args);
+        lines.push(line);
+    }
+    format!("{{\"traceEvents\":[\n{}\n]}}\n", lines.join(",\n"))
 }
 
 /// Timestamps print as integers when whole (Perfetto is happiest with
@@ -243,101 +232,6 @@ fn fmt_us(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-impl TelemetrySink for ChromeTraceSink {
-    fn interest(&self) -> SinkInterest {
-        SinkInterest::all()
-    }
-
-    fn span(&mut self, path: &str, kind: SpanKind, start_secs: f64, dur_secs: f64) {
-        let (shard, rest) = split_shard_prefix(path);
-        let (tid, name) = match (shard, rest) {
-            (Some(k), "") => ((k + 1) as u64, format!("shard{k}")),
-            (Some(k), inner) => ((k + 1) as u64, inner.to_string()),
-            (None, _) => (0, path.to_string()),
-        };
-        let cat = match kind {
-            SpanKind::Run => "run",
-            SpanKind::Shard => "shard",
-            SpanKind::Stage => "stage",
-            SpanKind::Pass => "pass",
-            SpanKind::Phase => "phase",
-        };
-        let ts = self.base_us + start_secs * 1e6;
-        let dur = dur_secs * 1e6;
-        self.max_end_us = self.max_end_us.max(ts + dur);
-        self.last_span_end_us = ts + dur;
-        self.events.push(Event {
-            name,
-            cat,
-            ph: 'X',
-            ts_us: ts,
-            dur_us: Some(dur),
-            tid,
-            args: String::new(),
-        });
-    }
-
-    fn counters(&mut self, path: &str, delta: &CounterTotals) {
-        let (shard, _) = split_shard_prefix(path);
-        let suffix = shard.map(|k| format!("shard{k}")).unwrap_or_default();
-        let ts = self.last_span_end_us;
-        self.push_counter_groups(&suffix, delta, ts);
-    }
-
-    fn convergence(&mut self, path: &str, metrics: &ConvergenceMetrics) {
-        let (shard, _) = split_shard_prefix(path);
-        let name = match shard {
-            Some(k) => format!("convergence (shard{k})"),
-            None => "convergence".to_string(),
-        };
-        let args = format!(
-            "\"mean_confidence\":{},\"decision_churn\":{},\"preference_entropy\":{},\"preplacement_coverage\":{}",
-            finite(metrics.mean_confidence),
-            finite(metrics.decision_churn),
-            finite(metrics.preference_entropy),
-            finite(metrics.preplacement_coverage),
-        );
-        self.events.push(Event {
-            name,
-            cat: "convergence",
-            ph: 'C',
-            ts_us: self.last_span_end_us,
-            dur_us: None,
-            tid: 0,
-            args,
-        });
-    }
-}
-
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
-    }
-}
-
-/// Escapes `s` as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 // ---- a small validating JSON reader ----
@@ -655,6 +549,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetrySink;
 
     fn totals(set: u64) -> CounterTotals {
         CounterTotals {
@@ -664,15 +559,15 @@ mod tests {
     }
 
     #[test]
-    fn sink_renders_valid_monotone_trace() {
-        let mut sink = ChromeTraceSink::new();
-        sink.span("<init>", SpanKind::Stage, 0.0, 0.001);
-        sink.span("PATH", SpanKind::Pass, 0.001, 0.002);
-        sink.counters("PATH", &totals(7));
-        sink.span("shard0/COMM", SpanKind::Pass, 0.003, 0.001);
-        sink.span("shard0", SpanKind::Shard, 0.003, 0.001);
-        sink.span("<run>", SpanKind::Run, 0.0, 0.004);
-        let json = sink.write_json();
+    fn buffer_renders_valid_monotone_trace() {
+        let mut buf = TelemetryBuffer::new();
+        buf.span("<init>", SpanKind::Stage, 0.0, 0.001);
+        buf.span("PATH", SpanKind::Pass, 0.001, 0.002);
+        buf.counters("PATH", &totals(7));
+        buf.span("shard0/COMM", SpanKind::Pass, 0.003, 0.001);
+        buf.span("shard0", SpanKind::Shard, 0.003, 0.001);
+        buf.span("<run>", SpanKind::Run, 0.0, 0.004);
+        let json = chrome_trace(&[buf]);
         let stats = validate_chrome_trace(&json).expect("trace validates");
         assert_eq!(stats.span_events, 5);
         assert!(stats.counter_events >= 1);
@@ -681,15 +576,55 @@ mod tests {
         assert!(stats.span_names.contains("shard0"));
     }
 
+    /// The `"ts"` of every event named `name`, in document order.
+    fn stamps(json: &str, name: &str) -> Vec<f64> {
+        let Json::Arr(events) = parse_json(json)
+            .unwrap()
+            .get("traceEvents")
+            .unwrap()
+            .clone()
+        else {
+            panic!("traceEvents is not an array");
+        };
+        events
+            .iter()
+            .filter(|ev| ev.get("name").and_then(Json::as_str) == Some(name))
+            .filter_map(|ev| ev.get("ts").and_then(Json::as_f64))
+            .collect()
+    }
+
     #[test]
-    fn advance_base_separates_runs() {
-        let mut sink = ChromeTraceSink::new();
-        sink.span("a", SpanKind::Pass, 0.0, 1.0);
-        sink.advance_base();
-        sink.span("b", SpanKind::Pass, 0.0, 1.0);
-        let json = sink.write_json();
-        validate_chrome_trace(&json).expect("monotone after advance_base");
-        assert!(json.contains("\"ts\":1000000"));
+    fn runs_render_end_to_end() {
+        let mut first = TelemetryBuffer::new();
+        first.span("a", SpanKind::Pass, 0.0, 1.0);
+        first.span("late", SpanKind::Pass, 0.5, 1.5);
+        first.span("early", SpanKind::Pass, 0.25, 0.25);
+        let mut second = TelemetryBuffer::new();
+        second.span("b", SpanKind::Pass, 0.0, 1.0);
+        let json = chrome_trace(&[first, second]);
+        validate_chrome_trace(&json).expect("monotone across runs");
+        // The second run starts where the first run's latest span
+        // ended (`late`, at 2 s), not where its last-recorded one did.
+        assert_eq!(stamps(&json, "b"), vec![2_000_000.0]);
+    }
+
+    #[test]
+    fn referee_counters_after_the_run_render_at_the_trace_end() {
+        let mut buf = TelemetryBuffer::new();
+        buf.span("PATH", SpanKind::Pass, 0.0, 0.5);
+        buf.span("<run>", SpanKind::Run, 0.0, 1.0);
+        buf.counters(
+            "<run>",
+            &CounterTotals {
+                validate_ok: 1,
+                oracle_agree: 1,
+                ..CounterTotals::default()
+            },
+        );
+        let json = chrome_trace(&[buf]);
+        validate_chrome_trace(&json).unwrap();
+        assert_eq!(stamps(&json, "referee"), vec![1_000_000.0]);
+        assert!(json.ends_with("\"args\":{\"validate_ok\":1,\"validate_fail\":0,\"oracle_agree\":1,\"oracle_disagree\":0}}\n]}\n"));
     }
 
     #[test]
@@ -723,22 +658,5 @@ mod tests {
     fn validator_rejects_x_without_dur() {
         let bad = "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":0}]}";
         assert!(validate_chrome_trace(bad).unwrap_err().contains("dur"));
-    }
-
-    #[test]
-    fn referee_counters_appear_via_note_counters() {
-        let mut sink = ChromeTraceSink::new();
-        sink.span("<run>", SpanKind::Run, 0.0, 1.0);
-        sink.note_counters(
-            "",
-            &CounterTotals {
-                validate_ok: 1,
-                oracle_agree: 1,
-                ..CounterTotals::default()
-            },
-        );
-        let json = sink.write_json();
-        assert!(json.contains("referee"));
-        validate_chrome_trace(&json).unwrap();
     }
 }

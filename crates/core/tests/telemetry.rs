@@ -1,13 +1,14 @@
 //! Exporter contracts, held as golden files: the Chrome trace-event
-//! writer must produce this exact byte sequence for a fixed event feed
-//! (so Perfetto keeps loading what we emit). A real driver run is then
-//! pushed through the exporter and held to the schema validator, and
+//! rendering of a recorded buffer must be this exact byte sequence for
+//! a fixed event feed (so Perfetto keeps loading what we emit). A
+//! recorded real driver run is then rendered and held to the schema
+//! validator, and
 //! the per-pass preference-map event (the Figure 4 hook) is checked
 //! against the run's convergence trace.
 
 use convergent_core::telemetry::{
-    validate_chrome_trace, ChromeTraceSink, ConvergenceMetrics, CounterTotals, MultiSink, SpanKind,
-    TelemetrySink,
+    chrome_trace, validate_chrome_trace, ConvergenceMetrics, CounterTotals, SpanKind,
+    TelemetryBuffer, TelemetrySink,
 };
 use convergent_core::{ConvergentScheduler, PreferenceMap};
 use convergent_ir::{ClusterId, DagBuilder, Instruction, Opcode};
@@ -37,7 +38,7 @@ fn diamond() -> convergent_ir::Dag {
 /// Perfetto loads, so they should not change casually.
 #[test]
 fn chrome_trace_golden_file() {
-    let mut sink = ChromeTraceSink::new();
+    let mut sink = TelemetryBuffer::new();
     sink.span("<init>", SpanKind::Stage, 0.0, 0.000_25);
     sink.span("PATH", SpanKind::Pass, 0.000_25, 0.001);
     sink.counters(
@@ -59,7 +60,7 @@ fn chrome_trace_golden_file() {
     sink.span("shard0/COMM", SpanKind::Pass, 0.001_25, 0.000_5);
     sink.span("shard0", SpanKind::Shard, 0.001_25, 0.000_5);
     sink.span("<run>", SpanKind::Run, 0.0, 0.002);
-    let json = sink.write_json();
+    let json = chrome_trace(&[sink]);
     let expected = concat!(
         "{\"traceEvents\":[\n",
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"ts\":0,\"args\":{\"name\":\"csched\"}},\n",
@@ -81,7 +82,7 @@ fn chrome_trace_golden_file() {
     assert_eq!(stats.counter_events, 2);
 }
 
-/// A real driver run through the Chrome exporter: valid schema,
+/// A recorded real driver run rendered as a Chrome trace: valid schema,
 /// monotone timestamps (checked by the validator), and a span for
 /// every pass of the sequence that ran.
 #[test]
@@ -89,11 +90,11 @@ fn real_run_trace_validates_and_names_every_pass() {
     let dag = diamond();
     let machine = Machine::chorus_vliw(2);
     let sched = ConvergentScheduler::vliw_default();
-    let mut sink = ChromeTraceSink::new();
+    let mut buf = TelemetryBuffer::new();
     sched
-        .schedule_with_sink(&dag, &machine, &mut sink)
+        .schedule_with_sink(&dag, &machine, &mut buf)
         .expect("diamond schedules");
-    let stats = validate_chrome_trace(&sink.write_json()).expect("trace validates");
+    let stats = validate_chrome_trace(&chrome_trace(&[buf])).expect("trace validates");
     for name in sched.sequence().names() {
         assert!(
             stats.span_names.contains(name),
@@ -120,8 +121,7 @@ impl TelemetrySink for MapLog {
 
 /// A monolithic run delivers the map after `<init>` and after each
 /// pass, named as the convergence trace names them, every map sound;
-/// a `MultiSink` member sees the same stream; and watching the maps
-/// never changes the schedule.
+/// and watching the maps never changes the schedule.
 #[test]
 fn preference_map_event_follows_init_and_every_pass() {
     let unit = tomcatv(StencilParams::for_banks(4));
@@ -147,17 +147,5 @@ fn preference_map_event_follows_init_and_every_pass() {
         }
         assert_eq!(out.schedule(), plain.schedule());
         assert_eq!(out.assignment(), plain.assignment());
-
-        let mut member = MapLog::default();
-        let mut chrome = ChromeTraceSink::new();
-        let mut multi = MultiSink::new();
-        multi.push(&mut member);
-        multi.push(&mut chrome);
-        let fanned = sched
-            .schedule_with_sink(unit.dag(), &machine, &mut multi)
-            .expect("schedules");
-        drop(multi);
-        assert_eq!(member.0, log.0);
-        assert_eq!(fanned.schedule(), plain.schedule());
     }
 }

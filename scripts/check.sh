@@ -128,6 +128,16 @@ echo "==> trace smoke (csched --trace parses and names every pass)"
 trace_tmp="$(mktemp /tmp/csched-trace.XXXXXX.json)"
 cargo run --release -q --bin csched -- --workload tomcatv --machine vliw4 --trace "$trace_tmp" >/dev/null
 cargo run --release -q --bin csched -- trace-check "$trace_tmp" --machine vliw4
+echo "==> sharded trace smoke (--profile and --trace render one recorded run)"
+# Shard k's events land on their own trace thread; the profile table
+# and the trace come from the same buffer.
+cargo run --release -q --bin csched -- --workload tomcatv --machine vliw4 --shards 8 \
+    --region-size 16 --profile --trace "$trace_tmp" >/dev/null
+cargo run --release -q --bin csched -- trace-check "$trace_tmp" --machine vliw4
+echo "==> multi-run trace smoke (fuzz lays its traced runs end to end)"
+cargo run --release -q -p convergent-bench --bin fuzz -- --seed 0 --budget 40 \
+    --trace "$trace_tmp" >/dev/null
+cargo run --release -q --bin csched -- trace-check "$trace_tmp" --machine raw16
 rm -f "$trace_tmp"
 echo "==> Figure 4 smoke (the per-pass preference-map event drives the convergence_trace example)"
 cargo run --release -q --example convergence_trace >/dev/null

@@ -117,16 +117,14 @@
 use std::process::ExitCode;
 
 use convergent_scheduling::analysis::{
-    analyze_pipeline, lint_raw, lint_unit, prove_contract, ContractClaims, EffectOp, Interval,
-    LintOptions, LintReport, PassEffect, PassSummary, Severity, Verdict,
+    analyze_pipeline, escape_json, lint_raw, lint_unit, prove_contract, ContractClaims, EffectOp,
+    Interval, LintOptions, LintReport, PassEffect, PassSummary, Severity, Verdict,
 };
 use convergent_scheduling::core::telemetry::{
-    validate_chrome_trace, ChromeTraceSink, CounterTotals, MultiSink, TelemetryBuffer,
+    chrome_trace, validate_chrome_trace, CounterTotals, SinkInterest, TelemetryBuffer,
     TelemetrySink,
 };
-use convergent_scheduling::core::{
-    contract, ConvergentScheduler, CutVerdict, PassProfile, Sequence,
-};
+use convergent_scheduling::core::{contract, ConvergentScheduler, CutVerdict, Sequence};
 use convergent_scheduling::ir::Dag;
 use convergent_scheduling::ir::{parse_raw, parse_unit, to_dot, to_text, SchedulingUnit};
 use convergent_scheduling::machine::Machine;
@@ -463,11 +461,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
         return Err("need an input file, --workload, or --all-workloads".to_string());
     }
     Ok(opts)
-}
-
-/// Minimal JSON string escaping for target names.
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// `csched lint`: run the static analyzer over the requested inputs
@@ -1035,8 +1028,7 @@ fn run() -> Result<(), String> {
     }
     let scheduler = make_scheduler(&opts.scheduler, &machine, opts.shards, opts.region_size)?;
 
-    let mut trace_sink = opts.trace.as_ref().map(|_| ChromeTraceSink::new());
-    let (schedule, profile, shard_note) = if opts.profile || trace_sink.is_some() {
+    let (schedule, mut telemetry, shard_note) = if opts.profile || opts.trace.is_some() {
         if opts.scheduler != "convergent" {
             return Err(
                 "--profile/--trace are only supported for --scheduler convergent".to_string(),
@@ -1044,21 +1036,17 @@ fn run() -> Result<(), String> {
         }
         // Re-build the concrete driver: `Scheduler` has no telemetry
         // entry point, and only the convergent pipeline has passes.
-        // `--profile` and `--trace` are just two sinks on one run.
+        // `--profile` and `--trace` render the one recorded run; the
+        // trace wants every event family, the profile only spans.
         let sched = convergent_driver(&machine, opts.shards, opts.region_size);
-        let mut profile = opts.profile.then(PassProfile::default);
-        let out = {
-            let mut multi = MultiSink::new();
-            if let Some(p) = profile.as_mut() {
-                multi.push(p);
-            }
-            if let Some(t) = trace_sink.as_mut() {
-                multi.push(t);
-            }
-            sched
-                .schedule_with_sink(unit.dag(), &machine, &mut multi)
-                .map_err(|e| format!("scheduling failed: {e}"))?
-        };
+        let mut buf = TelemetryBuffer::with_interest(if opts.trace.is_some() {
+            SinkInterest::all()
+        } else {
+            SinkInterest::spans_only()
+        });
+        let out = sched
+            .schedule_with_sink(unit.dag(), &machine, &mut buf)
+            .map_err(|e| format!("scheduling failed: {e}"))?;
         let shard_note = match (out.shard_info(), out.governor()) {
             (Some(info), _) => Some(format!(
                 "{} regions (sizes {:?}), {} boundary comm(s), {} cross edge(s), \
@@ -1084,7 +1072,7 @@ fn run() -> Result<(), String> {
             )),
             (None, None) => None,
         };
-        (out.into_schedule(), profile, shard_note)
+        (out.into_schedule(), Some(buf), shard_note)
     } else {
         let schedule = scheduler
             .schedule(unit.dag(), &machine)
@@ -1096,19 +1084,20 @@ fn run() -> Result<(), String> {
     let report =
         evaluate(unit.dag(), &machine, &schedule).map_err(|e| format!("simulation failed: {e}"))?;
 
-    let trace_note = if let (Some(t), Some(path)) = (trace_sink.as_mut(), opts.trace.as_ref()) {
-        // The referee ran after the traced region; append its verdict
-        // as a final counter sample, then write the file.
-        t.note_counters(
-            "referee",
+    let trace_note = if let (Some(buf), Some(path)) = (telemetry.as_mut(), opts.trace.as_ref()) {
+        // The referee ran after the traced region; record its verdict
+        // as a counter sample after `<run>`, which stamps it at the
+        // trace's end, then write the file.
+        buf.counters(
+            "<run>",
             &CounterTotals {
                 validate_ok: 1,
                 ..CounterTotals::default()
             },
         );
-        let events = t.len();
-        t.save(path).map_err(|e| format!("writing {path}: {e}"))?;
-        Some(format!("{path} ({events} events)"))
+        std::fs::write(path, chrome_trace(std::slice::from_ref(buf)))
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        Some(format!("{path} ({} events)", buf.events().len()))
     } else {
         None
     };
@@ -1141,9 +1130,9 @@ fn run() -> Result<(), String> {
             p.total_spills()
         );
     }
-    if let Some(p) = &profile {
+    if let Some(buf) = telemetry.as_ref().filter(|_| opts.profile) {
         println!();
-        print!("{}", p.render_table());
+        print!("{}", buf.profile_table());
     }
     if opts.verbose {
         println!();
