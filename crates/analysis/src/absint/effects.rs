@@ -165,10 +165,10 @@ impl PassEffect {
 }
 
 /// The behavioural contract a pass declares — the five clauses
-/// [`prove_contract`](crate::prove_contract) checks against the pass's
-/// effect summary: proved clauses pass, refuted ones are reported as
-/// their `CS06x` code, and clauses the summary cannot decide as
-/// `CS064`. `convergent_core` re-exports it as `PassContract`.
+/// [`prove_contract`] checks against the pass's effect summary: proved
+/// clauses pass, refuted ones are reported as their `CS06x` code, and
+/// clauses the summary cannot decide as `CS064`. `convergent_core`
+/// re-exports it as `PassContract`.
 ///
 /// Every field defaults to the framework's baseline expectations
 /// (`ContractClaims::default()`); a pass relaxes a clause only where it

@@ -224,6 +224,17 @@ fn densify<'r>(
 /// pending scale `s`, computing exactly what the dense reference's
 /// full-slot scan would (see the comments inline). Ties go to the
 /// earliest slot.
+///
+/// The exact scan over a band is [`band_chain`], one dependent
+/// compare chain. [`isolated_leader`] answers first, without the
+/// chain, and it is exact: it answers only when one candidate's scaled
+/// marginal `m` clears every other by more than `4·EPS + m·1e-14`,
+/// which covers the `EPS` tie band plus every rounding in the chain's
+/// `bestv·s + EPS`, and when `m ≥ 0`, so the exactly-zero slots past
+/// the band cannot take over. The chain must then end on that
+/// candidate; near ties it runs as before. Nothing is cached, so the
+/// answer depends only on the row. In debug builds both run and must
+/// agree, which makes every debug test run a differential.
 #[inline(always)]
 pub(super) fn scan_top_time(row: &Row, window: (u32, u32), s: f64, n_slots: usize) -> u32 {
     let best = match row {
@@ -248,31 +259,100 @@ pub(super) fn scan_top_time(row: &Row, window: (u32, u32), s: f64, n_slots: usiz
                 0
             }
         }
-        Row::Band(b) => {
-            let lo = b.lo as usize;
-            let tsum = b.tsum();
-            let mut best = 0usize;
-            let mut bestv = if lo == 0 { tsum[0] } else { 0.0 };
-            for (k, &v) in tsum.iter().enumerate() {
-                let t = lo + k;
-                if t == 0 {
-                    continue;
-                }
-                if v * s > bestv * s + EPS {
-                    best = t;
-                    bestv = v;
-                }
+        Row::Band(b) => match isolated_leader(b, s) {
+            Some(t) => {
+                debug_assert_eq!(t, band_chain(b, s, n_slots), "isolated-max fast path");
+                t
             }
-            // Dense also scans the exactly-zero slots past the
-            // band; they win only over a negative leader.
-            let after = lo + b.width();
-            if after < n_slots && 0.0 > bestv * s + EPS {
-                best = after;
-            }
-            best
-        }
+            None => band_chain(b, s, n_slots),
+        },
     };
     best as u32
+}
+
+/// The exact `preferred_time` scan of a band: slot 0 leads at first
+/// (its marginal if the band starts there, else an exact zero), and a
+/// later slot takes over only when `v·s > bestv·s + EPS`.
+#[inline(always)]
+fn band_chain(b: &Band, s: f64, n_slots: usize) -> usize {
+    let lo = b.lo as usize;
+    let tsum = b.tsum();
+    let mut best = 0usize;
+    let mut bestv = if lo == 0 { tsum[0] } else { 0.0 };
+    for (k, &v) in tsum.iter().enumerate() {
+        let t = lo + k;
+        if t == 0 {
+            continue;
+        }
+        if v * s > bestv * s + EPS {
+            best = t;
+            bestv = v;
+        }
+    }
+    // Dense also scans the exactly-zero slots past the
+    // band; they win only over a negative leader.
+    let after = lo + b.width();
+    if after < n_slots && 0.0 > bestv * s + EPS {
+        best = after;
+    }
+    best
+}
+
+/// [`band_chain`]'s answer when one candidate clearly leads, else
+/// `None`. The candidates are slot 0 (its marginal, or an exact zero
+/// when the band starts later) and the band slots; `x_t` is the scaled
+/// marginal `v_t·s`, computed exactly as the chain computes it.
+///
+/// Two branch-free passes: the maximum `m` of the `x_t` (exact, so
+/// lane order does not matter), then the count of candidates with
+/// `x_t ≥ m − margin`, `margin = 4·EPS + m·1e-14`, keeping the last
+/// one. If exactly one candidate `t*` counts and `0 ≤ m < ∞`, the
+/// chain ends on `t*`:
+/// - every other candidate has `x < m − margin`, so while any of them
+///   leads, `fl(x + EPS) < m` (the rounding in `fl(x + EPS)` and in
+///   the margin itself is below `m·2⁻⁵²`, far inside `m·1e-14`, and
+///   for `m = 0` the sum stays below `−3·EPS`): the chain takes `t*`
+///   when it reaches it;
+/// - after `t*`, no `x ≤ m ≤ fl(m + EPS)` takes over;
+/// - `m ≥ 0` makes `fl(m + EPS) > 0`, so the zeros past the band
+///   never take over either.
+///
+/// A NaN slot-0 marginal keeps `m` NaN and declines; a NaN band slot
+/// is neither counted here nor ever taken by the chain.
+#[inline(always)]
+fn isolated_leader(b: &Band, s: f64) -> Option<usize> {
+    let lo = b.lo as usize;
+    let tsum = b.tsum();
+    let slot0 = if lo == 0 { tsum[0] * s } else { 0.0 };
+    // Four independent lanes break the dependency on one running max.
+    let mut lanes = [slot0; 4];
+    let chunks = tsum.chunks_exact(4);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for (m, &v) in lanes.iter_mut().zip(c) {
+            let x = v * s;
+            *m = if x > *m { x } else { *m };
+        }
+    }
+    for &v in tail {
+        let x = v * s;
+        lanes[0] = if x > lanes[0] { x } else { lanes[0] };
+    }
+    let m = lanes[1..]
+        .iter()
+        .fold(lanes[0], |m, &x| if x > m { x } else { m });
+    if !(0.0..f64::INFINITY).contains(&m) {
+        return None;
+    }
+    let thr = m - (4.0 * EPS + m * 1e-14);
+    let zero_counts = lo > 0 && 0.0 >= thr;
+    let (mut n, mut at) = (usize::from(zero_counts), 0);
+    for (k, &v) in tsum.iter().enumerate() {
+        let hit = v * s >= thr;
+        n += usize::from(hit);
+        at = if hit { lo + k } else { at };
+    }
+    (n == 1).then_some(at)
 }
 
 /// The per-row reads.
@@ -772,5 +852,56 @@ impl PreferenceMap {
             }
         }
         self.total[r] = tot;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-cluster band at `lo` whose time marginals are `tsum`.
+    fn band(lo: u32, tsum: &[f64]) -> Band {
+        Band {
+            lo,
+            width: tsum.len() as u32,
+            buf: [tsum, tsum].concat(),
+        }
+    }
+
+    #[test]
+    fn isolated_leader_engages_on_a_clear_maximum() {
+        for lo in [0, 3] {
+            // Nine slots: two full lanes of four and a tail of one.
+            for at in [0, 4, 8] {
+                let mut tsum = [0.1; 9];
+                tsum[at] = 0.6;
+                let b = band(lo, &tsum);
+                let want = lo as usize + at;
+                assert_eq!(isolated_leader(&b, 1.0), Some(want), "lo {lo}, at {at}");
+                assert_eq!(band_chain(&b, 1.0, 16), want);
+            }
+        }
+        // A lone slot past 0 leads the implicit zero by more than the
+        // margin.
+        assert_eq!(isolated_leader(&band(5, &[1e-9]), 1.0), Some(5));
+    }
+
+    #[test]
+    fn isolated_leader_declines_within_the_margin() {
+        for gap in [0.0, EPS / 2.0, EPS, 2.0 * EPS, 4.0 * EPS] {
+            for lo in [0, 3] {
+                let b = band(lo, &[0.1, 0.5 - gap, 0.5, 0.1]);
+                assert_eq!(isolated_leader(&b, 1.0), None, "gap {gap:e}, lo {lo}");
+                // The chain still answers: a lead of more than `EPS`
+                // takes over, a smaller one leaves the earlier slot.
+                let want = lo as usize + if gap > EPS { 2 } else { 1 };
+                let row = Row::Band(b);
+                assert_eq!(scan_top_time(&row, (lo, lo + 3), 1.0, 16) as usize, want);
+            }
+        }
+        // Within the margin of the implicit slot-0 zero.
+        assert_eq!(isolated_leader(&band(5, &[2.0 * EPS]), 1.0), None);
+        // A NaN slot-0 marginal declines rather than guess.
+        assert_eq!(isolated_leader(&band(0, &[f64::NAN, 0.5]), 1.0), None);
     }
 }

@@ -292,3 +292,80 @@ proptest! {
         bulk.assert_invariants(1e-7);
     }
 }
+
+/// `preferred_time` against the dense reference on adversarial rows:
+/// a leader and a runner-up `gap` apart, with gaps on both sides of
+/// the `EPS` tie band and of the scan's isolated-max margin, leaders
+/// from below `EPS` to 1e6, pending scales from 1e-80 to 1e80, windows
+/// starting at slot 0 and later, one-slot bands, and the leader at the
+/// first, a middle and the last band slot.
+#[test]
+fn preferred_time_matches_reference_on_near_ties() {
+    const EPS: f64 = 1e-12;
+    let gaps = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.9, 4.0, 4.1, 5.0, 8.0, 1e3].map(|g| g * EPS);
+    let leaders = [0.5 * EPS, 3.0 * EPS, 5.0 * EPS, 0.3, 1e4, 1e6];
+    // Factors that drive the pending scale to 1e-80 … 1e80 in steps a
+    // `normalize` accepts (each keeps the visible total above `EPS`).
+    let drives = [(1e8, 10), (1e8, 5), (1.0, 0), (1e-8, 5), (1e-8, 10)];
+    let windows = [(0, 0), (0, 4), (0, 8), (3, 3), (3, 7), (2, 10), (11, 11)];
+    let mut cases = 0usize;
+    for (lo, hi) in windows {
+        let mid = (lo + hi) / 2;
+        for drive in drives {
+            for (m, gap) in leaders.iter().flat_map(|&m| gaps.map(|g| (m, g))) {
+                for lead in [lo, mid, hi] {
+                    // `None`: no runner-up, every other slot at m / 4.
+                    for runner in [Some(lo), Some(mid), Some(hi), None] {
+                        if runner == Some(lead) && hi > lo {
+                            continue;
+                        }
+                        let value = |t| match t {
+                            t if t == lead => m,
+                            t if Some(t) == runner => (m - gap).max(0.0),
+                            _ => 0.25 * m,
+                        };
+                        let (map, reference) = near_tie_row((lo, hi), drive, value);
+                        let i = InstrId::new(0);
+                        assert_eq!(
+                            map.preferred_time(i),
+                            reference.preferred_time(i),
+                            "window [{lo}, {hi}], scale drive {drive:?}, leader {m:e} at \
+                             {lead}, runner-up {runner:?} gap {gap:e}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases > 5000, "{cases} cases");
+}
+
+/// One instruction on two clusters and 12 slots, windowed to `window`,
+/// its pending scale driven by `rounds` of (scale every cluster by
+/// `factor`, normalize), then cluster 0 set to `value(t)` and cluster 1
+/// to zero on every window slot: the banded map and the dense
+/// reference replaying its ops.
+fn near_tie_row(
+    (lo, hi): (u32, u32),
+    (factor, rounds): (f64, u32),
+    value: impl Fn(u32) -> f64,
+) -> (PreferenceMap, ReferenceMap) {
+    let i = InstrId::new(0);
+    let (c0, c1) = (ClusterId::new(0), ClusterId::new(1));
+    let mut map = PreferenceMap::new(1, 2, 12);
+    let mut reference = ReferenceMap::new(1, 2, 12);
+    map.record();
+    map.set_window(i, lo, hi);
+    for _ in 0..rounds {
+        map.scale_cluster(i, c0, factor);
+        map.scale_cluster(i, c1, factor);
+        map.normalize(i);
+    }
+    for t in lo..=hi {
+        map.set(i, c0, t, value(t));
+        map.set(i, c1, t, 0.0);
+    }
+    reference.replay(&map.take_recording());
+    (map, reference)
+}

@@ -39,6 +39,7 @@ mod analysis;
 mod dot;
 mod error;
 mod graph;
+mod hash;
 mod id;
 mod instr;
 mod partition;
@@ -52,6 +53,7 @@ pub use analysis::{CriticalPath, TimeAnalysis};
 pub use dot::to_dot;
 pub use error::IrError;
 pub use graph::{Dag, DagBuilder, Edge};
+pub use hash::{IdHasher, IdMap};
 pub use id::{ClusterId, Cycle, InstrId};
 pub use instr::{Instruction, OpClass, Opcode};
 pub use partition::{

@@ -18,9 +18,9 @@
 //!   transfer unit of the producer's cluster, and the consumer may
 //!   start one cycle after the copy issues.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
-use convergent_ir::{ClusterId, Cycle, Dag, InstrId, OpClass};
+use convergent_ir::{ClusterId, Cycle, Dag, IdMap, InstrId, OpClass};
 use convergent_machine::Machine;
 use convergent_sim::{effective_latency_in, Assignment, ScheduleBuilder, SpaceTimeSchedule};
 
@@ -126,7 +126,7 @@ impl ResourceState {
 pub(crate) struct CommTracker {
     /// (producer, destination cluster) → first cycle the value is
     /// usable there.
-    arrival: HashMap<(InstrId, usize), u32>,
+    arrival: IdMap<(InstrId, usize), u32>,
     /// Recorded comm ops: (producer, from, to, start, fu).
     ops: Vec<(InstrId, ClusterId, ClusterId, u32, Option<usize>)>,
 }
@@ -406,11 +406,12 @@ impl ListScheduler {
                         finish[i.index()] = t + effective_latency_in(dag, machine, i, cluster);
                         n_placed += 1;
                         // Move the produced value toward every consumer
-                        // cluster as soon as it exists.
-                        let mut dest_seen: HashSet<usize> = HashSet::new();
+                        // cluster as soon as it exists (`ensure_comm`
+                        // inserts one transfer per cluster and returns
+                        // the recorded arrival for the others).
                         for &s in dag.succs(i) {
                             let sc = assignment.cluster(s);
-                            if sc != cluster && dest_seen.insert(sc.index()) {
+                            if sc != cluster {
                                 ensure_comm(
                                     machine,
                                     &mut resources,

@@ -20,9 +20,8 @@
 //! [`SimError::NoProgress`], not a panic.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
-use convergent_ir::{ClusterId, Cycle, Dag, InstrId};
+use convergent_ir::{ClusterId, Cycle, Dag, IdMap, InstrId};
 use convergent_machine::Machine;
 
 use crate::route::{route_hops, Router, RouterReport};
@@ -58,7 +57,7 @@ struct Net {
     router: Router,
     report: RouterReport,
     /// (producer, destination cluster) → first usable cycle there.
-    arrival: HashMap<(InstrId, usize), u32>,
+    arrival: IdMap<(InstrId, usize), u32>,
     injected: Vec<bool>,
     max_time: u32,
 }
@@ -68,7 +67,7 @@ impl Net {
         Net {
             router: Router::new(),
             report: RouterReport::default(),
-            arrival: HashMap::new(),
+            arrival: IdMap::default(),
             injected: vec![false; schedule.comms().len()],
             max_time: 0,
         }
@@ -225,7 +224,7 @@ pub fn evaluate(
                        cluster: usize,
                        t: u32,
                        finish: &[Option<u32>],
-                       arrival: &HashMap<(InstrId, usize), u32>|
+                       arrival: &IdMap<(InstrId, usize), u32>|
      -> bool {
         dag.preds(i).iter().all(|&p| {
             let p_op = schedule.op(p);

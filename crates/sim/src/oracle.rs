@@ -9,9 +9,10 @@
 //! could unblock its queue head actually happens — a producer
 //! finishing, a value arriving, or its own next issue opportunity. The
 //! oracle also carries its own link-occupancy ledger and its own
-//! dimension-ordered path walk rather than reusing [`crate::route`], so
-//! a bug in either simulator's traversal, readiness, or contention
-//! logic shows up as a disagreement instead of being silently shared.
+//! dimension-ordered path walk rather than reusing
+//! [`crate::route_hops`], so a bug in either simulator's traversal,
+//! readiness, or contention logic shows up as a disagreement instead
+//! of being silently shared.
 //!
 //! [`cross_check`] runs both simulators and diffs their reports
 //! field by field; the fuzz harness (`crates/bench/src/bin/fuzz.rs`)

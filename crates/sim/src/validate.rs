@@ -6,9 +6,7 @@
 //! issue slot is double-booked, and every hard placement constraint is
 //! honored.
 
-use std::collections::HashMap;
-
-use convergent_ir::{Cycle, Dag, InstrId};
+use convergent_ir::{Cycle, Dag, IdMap, InstrId};
 use convergent_machine::Machine;
 
 use crate::schedule::comm_range_violations;
@@ -149,7 +147,7 @@ fn check_resources(
     schedule: &SpaceTimeSchedule,
     violations: &mut Vec<Violation>,
 ) {
-    let mut slots: HashMap<(usize, usize, Cycle), u32> = HashMap::new();
+    let mut slots: IdMap<(usize, usize, Cycle), u32> = IdMap::default();
     for op in schedule.ops() {
         if op.fu < machine.cluster(op.cluster).issue_width() {
             *slots

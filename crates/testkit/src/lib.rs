@@ -233,7 +233,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Length specification accepted by [`vec`].
+    /// Length specification accepted by [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,

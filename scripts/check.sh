@@ -32,6 +32,9 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+# Broken, ambiguous or private intra-doc links fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> lint smoke: builtin workloads (--deny warnings)"
 cargo run --release -q --bin csched -- lint --all-workloads --machine raw4 --deny warnings
 cargo run --release -q --bin csched -- lint --all-workloads --machine vliw4 --deny warnings
