@@ -74,13 +74,7 @@ const LINT_STAGE: &str = "lint";
 
 fn make_scheduler(name: &str, machine: &Machine) -> Box<dyn Scheduler> {
     match name {
-        "convergent" => {
-            if machine.comm().register_mapped {
-                Box::new(ConvergentScheduler::raw_default())
-            } else {
-                Box::new(ConvergentScheduler::vliw_tuned())
-            }
-        }
+        "convergent" => Box::new(ConvergentScheduler::for_machine(machine)),
         "uas" => Box::new(UasScheduler::new()),
         // Capped rounds keep the sweep fast without changing what the
         // referees check.
@@ -339,11 +333,7 @@ fn write_trace(cases: &[Case], path: &str) {
             break;
         }
         let (machine, unit) = case.instantiate();
-        let sched = if machine.comm().register_mapped {
-            ConvergentScheduler::raw_default()
-        } else {
-            ConvergentScheduler::vliw_tuned()
-        };
+        let sched = ConvergentScheduler::for_machine(&machine);
         let mut buf = TelemetryBuffer::new();
         if sched
             .schedule_with_sink(unit.dag(), &machine, &mut buf)
@@ -366,20 +356,11 @@ fn verify_convergent_sequences(machines: &[&'static str]) {
     let mut checked: Vec<&'static str> = Vec::new();
     for spec in machines {
         let machine = machine_from_spec(spec);
-        let name = if machine.comm().register_mapped {
-            "raw"
-        } else {
-            "vliw-tuned"
-        };
+        let (name, seq) = Sequence::for_machine(&machine);
         if checked.contains(&name) {
             continue;
         }
         checked.push(name);
-        let seq = if machine.comm().register_mapped {
-            Sequence::raw()
-        } else {
-            Sequence::vliw_tuned()
-        };
         let (proven, unproven) = sequence_proof_counts(&seq);
         let diags = verify_sequence(&seq, &machine);
         if diags.is_empty() {

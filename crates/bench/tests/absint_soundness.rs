@@ -31,13 +31,9 @@ fn proven_clauses_hold_empirically_over_the_fuzz_stream() {
     let mut disagreements: Vec<String> = Vec::new();
     for case in &cases {
         let (machine, unit) = case.instantiate();
-        // The same sequence choice the fuzzer's convergent scheduler
-        // makes (see `ConvergentScheduler::{raw_default,vliw_tuned}`).
-        let seq = if machine.comm().register_mapped {
-            Sequence::raw()
-        } else {
-            Sequence::vliw_tuned()
-        };
+        // The same sequence the fuzzer's convergent scheduler runs
+        // (`ConvergentScheduler::for_machine`).
+        let (_, seq) = Sequence::for_machine(&machine);
         graphs += 1;
         for pass in seq.passes() {
             let (proof, static_diags) = prove_pass(pass.as_ref());

@@ -258,6 +258,17 @@ impl ConvergentScheduler {
         ConvergentScheduler::new(Sequence::vliw_tuned())
     }
 
+    /// The configuration shipped for `machine`: [`Sequence::for_machine`]'s
+    /// sequence, with the converged times as list-scheduling priorities
+    /// except on register-mapped machines, where (as in
+    /// [`ConvergentScheduler::raw_default`]) the list scheduler computes
+    /// its own.
+    #[must_use]
+    pub fn for_machine(machine: &Machine) -> Self {
+        let (_, sequence) = Sequence::for_machine(machine);
+        ConvergentScheduler::new(sequence).with_time_priorities(!machine.comm().register_mapped)
+    }
+
     /// Chooses whether the converged preferred times drive the list
     /// scheduler (`true`, Chorus-style) or the list scheduler computes
     /// its own critical-path priorities (`false`, Rawcc-style).

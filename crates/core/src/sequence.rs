@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use convergent_machine::Machine;
+
 use crate::passes::{
     Comm, EmphCp, First, InitTime, LevelDistribute, LoadBalance, Noise, Path, PathProp, Place,
     PlaceProp,
@@ -139,6 +141,28 @@ impl Sequence {
             .with(LoadBalance::new())
             .with(Comm::new())
             .with(EmphCp::new())
+    }
+
+    /// The sequence shipped for `machine`, with the name `csched
+    /// analyze --sequence` knows it by: Table 1(a) (`"raw"`) on
+    /// register-mapped machines, [`Sequence::vliw_tuned`]
+    /// (`"vliw-tuned"`) on copy-based ones.
+    ///
+    /// ```
+    /// use convergent_core::Sequence;
+    /// use convergent_machine::Machine;
+    ///
+    /// let (name, seq) = Sequence::for_machine(&Machine::raw(4));
+    /// assert_eq!((name, seq.names()), ("raw", Sequence::raw().names()));
+    /// assert_eq!(Sequence::for_machine(&Machine::chorus_vliw(4)).0, "vliw-tuned");
+    /// ```
+    #[must_use]
+    pub fn for_machine(machine: &Machine) -> (&'static str, Self) {
+        if machine.comm().register_mapped {
+            ("raw", Sequence::raw())
+        } else {
+            ("vliw-tuned", Sequence::vliw_tuned())
+        }
     }
 }
 

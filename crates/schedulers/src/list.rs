@@ -22,104 +22,11 @@ use std::collections::BinaryHeap;
 
 use convergent_ir::{ClusterId, Cycle, Dag, IdMap, InstrId, OpClass};
 use convergent_machine::Machine;
-use convergent_sim::{effective_latency_in, Assignment, ScheduleBuilder, SpaceTimeSchedule};
+use convergent_sim::{
+    effective_latency_in, Assignment, ScheduleBuilder, SlotLedger, SpaceTimeSchedule,
+};
 
 use crate::ScheduleError;
-
-/// A growable bitmap over cycle numbers: the occupancy set of one
-/// functional unit. `HashSet<u32>` semantics at a fraction of the
-/// lookup cost — `free_fu` probes run once per pending instruction per
-/// cycle, which made hashing the list scheduler's hottest operation on
-/// wide graphs.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CycleSet {
-    words: Vec<u64>,
-}
-
-impl CycleSet {
-    pub(crate) fn contains(&self, t: u32) -> bool {
-        self.words
-            .get((t / 64) as usize)
-            .is_some_and(|w| w >> (t % 64) & 1 == 1)
-    }
-
-    /// Inserts `t`, returning whether it was newly added.
-    pub(crate) fn insert(&mut self, t: u32) -> bool {
-        let w = (t / 64) as usize;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let bit = 1u64 << (t % 64);
-        let had = self.words[w] & bit != 0;
-        self.words[w] |= bit;
-        !had
-    }
-}
-
-/// Per-functional-unit issue-slot occupancy.
-#[derive(Clone, Debug)]
-pub(crate) struct ResourceState {
-    busy: Vec<Vec<CycleSet>>,
-}
-
-impl ResourceState {
-    pub(crate) fn new(machine: &Machine) -> Self {
-        ResourceState {
-            busy: machine
-                .cluster_ids()
-                .map(|c| vec![CycleSet::default(); machine.cluster(c).issue_width()])
-                .collect(),
-        }
-    }
-
-    /// A free functional unit on `cluster` capable of `class` at cycle
-    /// `t`, if any (lowest index wins, so VLIW ops prefer the most
-    /// specialized capable unit listed first).
-    pub(crate) fn free_fu(
-        &self,
-        machine: &Machine,
-        cluster: ClusterId,
-        class: OpClass,
-        t: u32,
-    ) -> Option<usize> {
-        machine
-            .cluster(cluster)
-            .fus()
-            .iter()
-            .enumerate()
-            .find(|(fu, kind)| {
-                kind.can_execute(class) && !self.busy[cluster.index()][*fu].contains(t)
-            })
-            .map(|(fu, _)| fu)
-    }
-
-    /// Earliest `(fu, cycle)` at or after `from` where `class` can
-    /// issue on `cluster`. Returns `None` if the cluster cannot
-    /// execute the class at all.
-    pub(crate) fn earliest_slot(
-        &self,
-        machine: &Machine,
-        cluster: ClusterId,
-        class: OpClass,
-        from: u32,
-    ) -> Option<(usize, u32)> {
-        if !machine.cluster_can_execute(cluster, class) {
-            return None;
-        }
-        let mut t = from;
-        loop {
-            if let Some(fu) = self.free_fu(machine, cluster, class, t) {
-                return Some((fu, t));
-            }
-            t += 1;
-        }
-    }
-
-    pub(crate) fn reserve(&mut self, cluster: ClusterId, fu: usize, t: u32) {
-        let inserted = self.busy[cluster.index()][fu].insert(t);
-        debug_assert!(inserted, "double-booked {cluster} fu{fu} at {t}");
-    }
-}
 
 /// Tracks inserted communication and cross-cluster value arrivals.
 #[derive(Clone, Debug, Default)]
@@ -174,7 +81,7 @@ impl CommTracker {
 /// (lint `CS052` rejects such machines up front, this is the backstop).
 pub(crate) fn ensure_comm(
     machine: &Machine,
-    resources: &mut ResourceState,
+    resources: &mut SlotLedger,
     comms: &mut CommTracker,
     producer: InstrId,
     from: ClusterId,
@@ -192,7 +99,7 @@ pub(crate) fn ensure_comm(
         Ok(arrival)
     } else {
         let (fu, start) = resources
-            .earliest_slot(machine, from, OpClass::Copy, finish)
+            .earliest_slot(from, OpClass::Copy, finish, u32::MAX, None)
             .ok_or(ScheduleError::NoTransferUnit { cluster: from })?;
         resources.reserve(from, fu, start);
         let arrival = start + latency;
@@ -316,7 +223,7 @@ impl ListScheduler {
         let urgency: Vec<u32> = dag.ids().map(|i| time.latest_start(i)).collect();
 
         let n = dag.len();
-        let mut resources = ResourceState::new(machine);
+        let mut resources = SlotLedger::new(machine);
         let mut comms = CommTracker::new();
         let mut start: Vec<Option<u32>> = vec![None; n];
         let mut finish: Vec<u32> = vec![0; n];
@@ -326,7 +233,7 @@ impl ListScheduler {
         // Whether an instruction can issue at cycle `t` depends only on
         // its (cluster, op class) pair and the reservations made so
         // far, and reservations only accumulate within a cycle — so one
-        // witnessed `free_fu` failure rules the whole pair out for the
+        // witnessed `free_unit` failure rules the whole pair out for the
         // rest of the cycle. The ready set is therefore kept as one
         // min-heap on (priority, urgency, id) *per pair*: each issue
         // decision arbitrates across the heap tops of the pairs not yet
@@ -397,7 +304,7 @@ impl ListScheduler {
                 let Some((p, (_, _, i))) = best else { break };
                 let cluster = assignment.cluster(i);
                 let class = dag.instr(i).class();
-                match resources.free_fu(machine, cluster, class, t) {
+                match resources.free_unit(cluster, class, t) {
                     Some(fu) => {
                         ready[p].pop();
                         resources.reserve(cluster, fu, t);

@@ -14,13 +14,11 @@
 //! home first, then clusters ordered by earliest operand arrival
 //! (completion-driven), breaking ties toward lightly loaded clusters.
 
-use std::collections::HashSet;
-
 use convergent_ir::{ClusterId, Cycle, Dag, InstrId, OpClass};
 use convergent_machine::Machine;
-use convergent_sim::{effective_latency_in, ScheduleBuilder, SpaceTimeSchedule};
+use convergent_sim::{effective_latency_in, ScheduleBuilder, SlotLedger, SpaceTimeSchedule};
 
-use crate::list::{cycle_limit, CommTracker, ResourceState};
+use crate::list::{cycle_limit, CommTracker};
 use crate::{cp_priorities, ScheduleError, Scheduler};
 
 /// The UAS scheduler. See the module docs.
@@ -68,7 +66,7 @@ impl Scheduler for UasScheduler {
 
         crate::precondition::check_inputs(dag, machine)?;
 
-        let mut resources = ResourceState::new(machine);
+        let mut resources = SlotLedger::new(machine);
         let mut comms = CommTracker::new();
         let mut cluster_of: Vec<Option<ClusterId>> = vec![None; n];
         let mut start: Vec<Option<u32>> = vec![None; n];
@@ -153,7 +151,7 @@ fn try_place(
     i: InstrId,
     t: u32,
     hard: bool,
-    resources: &mut ResourceState,
+    resources: &mut SlotLedger,
     comms: &mut CommTracker,
     cluster_of: &[Option<ClusterId>],
     finish: &[u32],
@@ -194,13 +192,12 @@ fn try_place(
     });
 
     'cluster: for c in candidates {
-        let Some(fu) = resources.free_fu(machine, c, instr.class(), t) else {
+        let Some(fu) = resources.free_unit(c, instr.class(), t) else {
             continue;
         };
         // Check operand availability at c by cycle t, planning any
         // copies we would need to commit.
         let mut planned: Vec<(ClusterId, usize, u32, InstrId, ClusterId)> = Vec::new();
-        let mut planned_slots: HashSet<(usize, usize, u32)> = HashSet::new();
         for &p in dag.preds(i) {
             let pc = cluster_of[p.index()].expect("pred scheduled");
             if pc == c {
@@ -223,28 +220,28 @@ fn try_place(
                 // Commit-time record below; wires need no slot.
                 planned.push((pc, usize::MAX, finish[p.index()], p, c));
             } else {
-                // Need a transfer slot s in [finish(p), t - latency].
-                if t < latency {
+                // Need a transfer slot s in [finish(p), t - latency]:
+                // the lowest free copy unit at the first cycle that has
+                // one, skipping that cycle if this plan already took
+                // the unit there.
+                let Some(deadline) = t.checked_sub(latency) else {
                     continue 'cluster;
-                }
-                let deadline = t - latency;
-                let mut found = None;
-                let mut s = finish[p.index()];
-                while s <= deadline {
-                    if let Some(tfu) = resources.free_fu(machine, pc, OpClass::Copy, s) {
-                        if !planned_slots.contains(&(pc.index(), tfu, s)) {
-                            found = Some((tfu, s));
-                            break;
-                        }
-                    }
-                    s += 1;
-                }
-                match found {
-                    Some((tfu, s)) => {
-                        planned_slots.insert((pc.index(), tfu, s));
+                };
+                let mut from = finish[p.index()];
+                loop {
+                    let Some((tfu, s)) =
+                        resources.earliest_slot(pc, OpClass::Copy, from, deadline, None)
+                    else {
+                        continue 'cluster;
+                    };
+                    if !planned
+                        .iter()
+                        .any(|&(qc, qfu, qs, ..)| (qc, qfu, qs) == (pc, tfu, s))
+                    {
                         planned.push((pc, tfu, s, p, c));
+                        break;
                     }
-                    None => continue 'cluster,
+                    from = s + 1;
                 }
             }
         }

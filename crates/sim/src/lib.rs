@@ -37,6 +37,7 @@
 mod assignment;
 mod error;
 mod evaluate;
+mod ledger;
 pub mod oracle;
 mod pressure;
 mod route;
@@ -47,6 +48,7 @@ mod validate;
 pub use assignment::Assignment;
 pub use error::{SimError, Violation};
 pub use evaluate::{evaluate, EvalReport};
+pub use ledger::{CycleSet, SlotLedger};
 pub use oracle::{cross_check, resimulate, Divergence};
 pub use pressure::{analyze_pressure, PressureReport};
 pub use route::{route_hops, RouterReport};

@@ -7,10 +7,10 @@
 //! contention stalls when two routes need the same wire in the same
 //! cycle.
 
-use std::collections::HashSet;
-
-use convergent_ir::ClusterId;
+use convergent_ir::{ClusterId, IdMap};
 use convergent_machine::{Machine, Topology};
+
+use crate::CycleSet;
 
 /// A directed mesh link between two adjacent tile coordinates, plus the
 /// self-link `(a, a)` used to model each tile's injection port.
@@ -57,7 +57,8 @@ pub fn route_hops(
 /// Tracks link occupancy and computes contention-adjusted injections.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Router {
-    busy: HashSet<(Link, u32)>,
+    /// The busy cycles of each link that has carried a route.
+    busy: IdMap<Link, CycleSet>,
 }
 
 impl Router {
@@ -69,21 +70,25 @@ impl Router {
     /// link along the path is free (link `k` is used at `injection + k`).
     /// Marks the links busy and returns the injection cycle.
     pub(crate) fn inject(&mut self, path: &[Link], ready: u32) -> u32 {
-        if path.is_empty() {
-            return ready;
-        }
+        // A link busy from `s + k` up to its next free cycle `f` rules
+        // out every injection before `f - k`: jump there and recheck
+        // the whole path, until no link objects.
         let mut s = ready;
         'search: loop {
-            for (k, link) in path.iter().enumerate() {
-                if self.busy.contains(&(*link, s + k as u32)) {
-                    s += 1;
+            for (k, link) in (0u32..).zip(path) {
+                let free = self.busy.get(link).map_or(s + k, |set| {
+                    set.first_free(s + k, u32::MAX, None)
+                        .expect("an unbounded scan lands past the last busy cycle")
+                });
+                if free > s + k {
+                    s = free - k;
                     continue 'search;
                 }
             }
             break;
         }
-        for (k, link) in path.iter().enumerate() {
-            self.busy.insert((*link, s + k as u32));
+        for (k, link) in (0u32..).zip(path) {
+            self.busy.entry(*link).or_default().insert(s + k);
         }
         s
     }

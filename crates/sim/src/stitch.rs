@@ -37,7 +37,7 @@ use std::collections::{HashMap, HashSet};
 use convergent_ir::{ClusterId, Cycle, Dag, Decomposition, Edge, InstrId, OpClass};
 use convergent_machine::Machine;
 
-use crate::{effective_latency_in, ScheduleBuilder, SimError, SpaceTimeSchedule};
+use crate::{effective_latency_in, ScheduleBuilder, SimError, SlotLedger, SpaceTimeSchedule};
 
 /// Result of stitching: the merged schedule plus how the shards were
 /// placed in time.
@@ -49,61 +49,6 @@ pub struct StitchReport {
     pub offsets: Vec<u32>,
     /// Number of cross-shard transfers inserted by the boundary fix-up.
     pub boundary_comms: usize,
-}
-
-/// Marks cycle `t` busy in a per-lane occupancy bitmap, growing it on
-/// demand (absent words are free).
-fn set_busy(words: &mut Vec<u64>, t: u32) {
-    let w = (t / 64) as usize;
-    if words.len() <= w {
-        words.resize(w + 1, 0);
-    }
-    words[w] |= 1u64 << (t % 64);
-}
-
-/// Earliest cycle `t >= start` (and `t <= limit`, when bounded) at
-/// which some lane of a cluster is free in both occupancy bitmaps,
-/// testing 64 cycles per word. Returns the lane's position within the
-/// cluster's copy-lane list and the cycle; ties on the cycle go to the
-/// earliest lane, matching a cycle-by-cycle scan in lane order. With
-/// `limit == None` the scan always lands: words past a bitmap's end are
-/// free, so it terminates just past the busiest lane's frontier.
-fn first_free_slot(
-    busy_a: &[Vec<u64>],
-    busy_b: &[Vec<u64>],
-    base: usize,
-    n_lanes: usize,
-    start: u32,
-    limit: Option<u32>,
-) -> Option<(usize, u32)> {
-    debug_assert!(n_lanes > 0, "slot scan on a cluster with no copy lanes");
-    let mut t = start;
-    loop {
-        if limit.is_some_and(|l| t > l) {
-            return None;
-        }
-        let w = (t / 64) as usize;
-        let head = !0u64 << (t % 64);
-        let mut best: Option<(u32, usize)> = None;
-        for li in 0..n_lanes {
-            let a = busy_a[base + li].get(w).copied().unwrap_or(0);
-            let b = busy_b[base + li].get(w).copied().unwrap_or(0);
-            let free = !(a | b) & head;
-            if free != 0 {
-                let cand = (w as u32) * 64 + free.trailing_zeros();
-                if best.is_none_or(|(bt, _)| cand < bt) {
-                    best = Some((cand, li));
-                }
-            }
-        }
-        if let Some((bt, li)) = best {
-            return match limit {
-                Some(l) if bt > l => None,
-                _ => Some((li, bt)),
-            };
-        }
-        t = (w as u32 + 1) * 64;
-    }
 }
 
 /// Merges per-shard schedules into one schedule for `dag`.
@@ -160,37 +105,16 @@ pub fn stitch(
     // Producers whose value crosses a shard boundary.
     let cross_sources: HashSet<InstrId> =
         decomposition.cross_edges().iter().map(|e| e.src).collect();
-    // Copy-capable issue slots per cluster, for boundary transfers.
-    let copy_fus: Vec<Vec<usize>> = machine
-        .cluster_ids()
-        .map(|c| {
-            machine
-                .cluster(c)
-                .fus()
-                .iter()
-                .enumerate()
-                .filter(|(_, fu)| fu.can_execute(OpClass::Copy))
-                .map(|(idx, _)| idx)
-                .collect()
-        })
-        .collect();
     let register_mapped = machine.comm().register_mapped;
 
-    // Flat indexing for per-copy-lane occupancy bitmaps: cluster `c`'s
-    // copy lanes occupy `lane_base[c] .. lane_base[c + 1]`.
-    let mut lane_base: Vec<usize> = Vec::with_capacity(copy_fus.len() + 1);
-    lane_base.push(0);
-    for lanes in &copy_fus {
-        lane_base.push(lane_base.last().unwrap() + lanes.len());
-    }
-    // Committed copy-lane occupancy (one bit per cycle per lane), the
-    // per-lane frontier (first cycle past every committed slot of that
-    // lane), and value availability of cross-shard producers per
-    // cluster. `locs` lists every cluster a value is known to reach
-    // (sorted, for deterministic scans); the cycle it arrives there
-    // lives in `avail`.
-    let mut committed_busy: Vec<Vec<u64>> = vec![Vec::new(); *lane_base.last().unwrap()];
-    let mut frontier: HashMap<(u16, usize), u32> = HashMap::new();
+    // Committed issue slots, and value availability of cross-shard
+    // producers per cluster. `locs` lists every cluster a value is
+    // known to reach (sorted, for deterministic scans); the cycle it
+    // arrives there lives in `avail`.
+    let mut committed = SlotLedger::new(machine);
+    // Per-round overlays, reused across shards (see the search below).
+    let mut round = SlotLedger::new(machine);
+    let mut claim = SlotLedger::new(machine);
     let mut avail: HashMap<(InstrId, u16), u32> = HashMap::new();
     let mut locs: HashMap<InstrId, Vec<u16>> = HashMap::new();
 
@@ -207,21 +131,18 @@ pub fn stitch(
             (part.op(local).start, e.dst, e.src)
         });
 
-        // Resource lower bound: every shard slot must clear the
-        // committed frontier of its lane.
-        let mut delta: u32 = 0;
-        for op in part.ops() {
-            if let Some(&f) = frontier.get(&(op.cluster.raw(), op.fu)) {
-                delta = delta.max(f.saturating_sub(op.start.get()));
-            }
-        }
-        for comm in part.comms() {
-            if let Some(fu) = comm.fu {
-                if let Some(&f) = frontier.get(&(comm.from.raw(), fu)) {
-                    delta = delta.max(f.saturating_sub(comm.start.get()));
-                }
-            }
-        }
+        // The shard's own issue cells `(cluster, unit, cycle)`, before
+        // the shift. Each must clear the last committed slot of its
+        // unit: the resource lower bound.
+        let cells = || {
+            let (ops, comms) = (part.ops().iter(), part.comms().iter());
+            ops.map(|op| (op.cluster, op.fu, op.start.get()))
+                .chain(comms.filter_map(|c| Some((c.from, c.fu?, c.start.get()))))
+        };
+        let mut delta = cells()
+            .map(|(c, fu, t)| committed.unit(c, fu).end().saturating_sub(t))
+            .max()
+            .unwrap_or(0);
         // Dependence lower bound: the earliest any cross-shard value
         // could reach its consumer's cluster from its best known
         // location.
@@ -253,43 +174,22 @@ pub fn stitch(
         let mut lo_bound = delta;
         let mut gallop: u32 = 0;
         let mut refine_hi: Option<u32> = None;
-        // Two per-round occupancy overlays on top of `committed_busy`:
-        // `round_busy` holds the shard's own cells (shifted by the
-        // round's `delta`) plus transfers placed this round — what a
-        // real placement must avoid. `claim_busy` holds placed plus
-        // *projected* transfers only: misses measure their shortfall
-        // against committed slots and this round's claims, never the
-        // shard's own cells (those shift with `delta`, so counting them
-        // would overshoot the rise by the length of the shard's packed
-        // prefix), and each miss claims a distinct slot so the round's
-        // shortfall prices copy-lane bandwidth, not just the first
-        // free hole.
-        let mut round_busy: Vec<Vec<u64>> = vec![Vec::new(); *lane_base.last().unwrap()];
-        let mut claim_busy: Vec<Vec<u64>> = vec![Vec::new(); *lane_base.last().unwrap()];
+        // Two per-round occupancy overlays on top of `committed`:
+        // `round` holds the shard's own cells (shifted by the round's
+        // `delta`) plus transfers placed this round — what a real
+        // placement must avoid, and what the shard commits. `claim`
+        // holds placed plus *projected* transfers only: misses measure
+        // their shortfall against committed slots and this round's
+        // claims, never the shard's own cells (those shift with
+        // `delta`, so counting them would overshoot the rise by the
+        // length of the shard's packed prefix), and each miss claims a
+        // distinct slot so the round's shortfall prices copy-lane
+        // bandwidth, not just the first free hole.
         'place: loop {
-            for words in round_busy.iter_mut().chain(claim_busy.iter_mut()) {
-                words.clear();
-            }
-            let mut cells: HashSet<(u16, usize, u32)> =
-                HashSet::with_capacity(part.ops().len() + part.comms().len());
-            for op in part.ops() {
-                let t = op.start.get() + delta;
-                cells.insert((op.cluster.raw(), op.fu, t));
-                if let Some(li) = copy_fus[op.cluster.index()]
-                    .iter()
-                    .position(|&f| f == op.fu)
-                {
-                    set_busy(&mut round_busy[lane_base[op.cluster.index()] + li], t);
-                }
-            }
-            for comm in part.comms() {
-                if let Some(fu) = comm.fu {
-                    let t = comm.start.get() + delta;
-                    cells.insert((comm.from.raw(), fu, t));
-                    if let Some(li) = copy_fus[comm.from.index()].iter().position(|&f| f == fu) {
-                        set_busy(&mut round_busy[lane_base[comm.from.index()] + li], t);
-                    }
-                }
+            round.clear();
+            claim.clear();
+            for (c, fu, t) in cells() {
+                round.reserve(c, fu, t + delta);
             }
             let mut new_comms: Vec<(InstrId, ClusterId, ClusterId, u32, Option<usize>)> =
                 Vec::new();
@@ -336,7 +236,9 @@ pub fn stitch(
                 } else {
                     *sources
                         .iter()
-                        .find(|&&(_, c, _)| !copy_fus[usize::from(c)].is_empty())
+                        .find(|&&(_, c, _)| {
+                            machine.cluster_can_execute(ClusterId::new(c), OpClass::Copy)
+                        })
                         .ok_or(SimError::NoTransferUnit {
                             cluster: ClusterId::new(first.1),
                         })?
@@ -356,23 +258,12 @@ pub fn stitch(
                     // Earliest free copy slot no later than the
                     // deadline; scanning past it is pointless, the
                     // transfer would miss anyway.
-                    let lanes = &copy_fus[c_u.index()];
-                    let base = lane_base[c_u.index()];
                     let found = deadline.checked_sub(lat).and_then(|lim| {
-                        first_free_slot(
-                            &committed_busy,
-                            &round_busy,
-                            base,
-                            lanes.len(),
-                            ready,
-                            Some(lim),
-                        )
+                        committed.earliest_slot(c_u, OpClass::Copy, ready, lim, Some(&round))
                     });
-                    if let Some((li, t)) = found {
-                        let fu = lanes[li];
-                        cells.insert((c_u.raw(), fu, t));
-                        set_busy(&mut round_busy[base + li], t);
-                        set_busy(&mut claim_busy[base + li], t);
+                    if let Some((fu, t)) = found {
+                        round.reserve(c_u, fu, t);
+                        claim.reserve(c_u, fu, t);
                         new_comms.push((e.src, c_u, c_w, t, Some(fu)));
                         trial_avail.insert((e.src, c_w.raw()), t + lat);
                         trial_locs.entry(e.src).or_default().push(c_w.raw());
@@ -385,16 +276,10 @@ pub fn stitch(
                         // already meets the deadline (pure own-cell
                         // interference) still forces a rise of one, so
                         // every round makes progress.
-                        let (li2, t2) = first_free_slot(
-                            &committed_busy,
-                            &claim_busy,
-                            base,
-                            lanes.len(),
-                            ready,
-                            None,
-                        )
-                        .expect("unbounded slot scan lands past the lane frontier");
-                        set_busy(&mut claim_busy[base + li2], t2);
+                        let (fu2, t2) = committed
+                            .earliest_slot(c_u, OpClass::Copy, ready, u32::MAX, Some(&claim))
+                            .expect("an unbounded slot scan lands past the last committed slot");
+                        claim.reserve(c_u, fu2, t2);
                         shortfall = shortfall.max((t2 + lat).saturating_sub(deadline).max(1));
                         trial_avail.insert((e.src, c_w.raw()), t2 + lat);
                         trial_locs.entry(e.src).or_default().push(c_w.raw());
@@ -428,13 +313,7 @@ pub fn stitch(
             }
 
             // Commit the shard at this offset.
-            for &(c, fu, t) in &cells {
-                let lane = frontier.entry((c, fu)).or_insert(0);
-                *lane = (*lane).max(t + 1);
-                if let Some(li) = copy_fus[usize::from(c)].iter().position(|&f| f == fu) {
-                    set_busy(&mut committed_busy[lane_base[usize::from(c)] + li], t);
-                }
-            }
+            committed.absorb(&round);
             for op in part.ops() {
                 let g = shard.global_id(op.instr);
                 builder.place(g, op.cluster, op.fu, Cycle::new(op.start.get() + delta));

@@ -55,6 +55,26 @@ if [ "$degenerate_status" != 1 ] || printf '%s' "$degenerate_err" | grep -q pani
     echo "check.sh: FAIL: csched --machine raw0 must exit 1 without panicking (exit $degenerate_status)" >&2
     exit 1
 fi
+echo "==> huge-machine smoke (3 instructions at vliw65000/raw65000, every scheduler, ulimit -v)"
+# A 3-instruction graph on a 65 000-cluster machine must schedule
+# under a 2 GB address-space cap with every scheduler: exit 0, no
+# panic. Per-cluster or per-unit state must stay small and lazy (an
+# eager cycle table or an N·C matrix aborts here). The release binary
+# runs directly so the cap does not also bind cargo.
+huge_cdag="$(mktemp /tmp/csched-huge.XXXXXX.cdag)"
+printf 'unit huge\ni lw\ni add\ni sw\ne 0 1\ne 1 2\n' >"$huge_cdag"
+for m in vliw65000 raw65000; do
+    for s in convergent uas pcc rawcc bug; do
+        huge_err="$( (ulimit -v 2000000 && ./target/release/csched verify "$huge_cdag" \
+            --machine "$m" --scheduler "$s") 2>&1 >/dev/null)" \
+            && huge_status=0 || huge_status=$?
+        if [ "$huge_status" != 0 ] || printf '%s' "$huge_err" | grep -q panicked; then
+            echo "check.sh: FAIL: csched verify --machine $m --scheduler $s must exit 0 without panicking under ulimit -v 2000000 (exit $huge_status)" >&2
+            exit 1
+        fi
+    done
+done
+rm -f "$huge_cdag"
 # An unknown compiletime flag is a usage error: nonzero exit, no
 # panic, no sweep.
 args_err="$(cargo run --release -q -p convergent-bench --bin compiletime -- --no-such-flag 2>&1 >/dev/null)" \

@@ -330,12 +330,7 @@ fn convergent_driver(
     shards: usize,
     region_size: Option<usize>,
 ) -> ConvergentScheduler {
-    let s = if machine.comm().register_mapped {
-        ConvergentScheduler::raw_default()
-    } else {
-        ConvergentScheduler::vliw_tuned()
-    };
-    let s = s.with_shards(shards);
+    let s = ConvergentScheduler::for_machine(machine).with_shards(shards);
     match region_size {
         Some(n) => s.with_region_size(n),
         None => s,
@@ -499,11 +494,7 @@ fn run_lint(args: &[String]) -> Result<(), String> {
 
     // The sequence `csched` would run on this machine must honor the
     // pass contracts, or its diagnostics-over-panics guarantee is void.
-    let sequence = if machine.comm().register_mapped {
-        Sequence::raw()
-    } else {
-        Sequence::vliw_tuned()
-    };
+    let (_, sequence) = Sequence::for_machine(&machine);
     let contract_diags = contract::verify_sequence(&sequence, &machine);
 
     if opts.json {
@@ -685,12 +676,7 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
     let machine = parse_machine(&opts.machine)?;
     let seq_names: Vec<String> = if opts.sequences.is_empty() {
         // The sequence `csched` would actually run on this machine.
-        let name = if machine.comm().register_mapped {
-            "raw"
-        } else {
-            "vliw-tuned"
-        };
-        vec![name.to_string()]
+        vec![Sequence::for_machine(&machine).0.to_string()]
     } else {
         opts.sequences.clone()
     };
@@ -969,11 +955,7 @@ fn run_trace_check(args: &[String]) -> Result<(), String> {
     let machine = parse_machine(&machine_spec)?;
     let text = std::fs::read_to_string(&file).map_err(|e| format!("reading {file}: {e}"))?;
     let stats = validate_chrome_trace(&text).map_err(|e| format!("{file}: {e}"))?;
-    let sequence = if machine.comm().register_mapped {
-        Sequence::raw()
-    } else {
-        Sequence::vliw_tuned()
-    };
+    let (_, sequence) = Sequence::for_machine(&machine);
     let missing: std::collections::BTreeSet<&str> = sequence
         .names()
         .into_iter()
