@@ -59,8 +59,9 @@
 //!
 //! Each size also runs a second, equally-budgeted loop of
 //! fully-instrumented reps through the telemetry layer: the hot-path
-//! counter totals and measured overhead (best
-//! instrumented rep vs best uninstrumented rep) land in the JSON
+//! counter totals and measured overhead (best instrumented rep over
+//! best uninstrumented rep, with its spread: instrumented p25 over
+//! plain p25, and the same at p75) land in the table and the JSON
 //! rows, and `--trace FILE` writes a Chrome trace (all sizes on one
 //! timeline) loadable in Perfetto.
 
@@ -91,6 +92,15 @@ struct Row {
     /// Best wall-clock seconds over the instrumented rep loop; the
     /// ratio against `best` is the measured telemetry overhead.
     telemetry_secs: f64,
+    /// The instrumented loop's p25 and p75 seconds over the plain
+    /// loop's: the overhead's spread.
+    telemetry_spread: [f64; 2],
+}
+
+/// The 25th, 50th and 75th percentile of `times` (sorted in place).
+fn quartiles(times: &mut [f64]) -> [f64; 3] {
+    times.sort_by(f64::total_cmp);
+    [1, 2, 3].map(|q| times[(times.len() - 1) * q / 4])
 }
 
 /// Layer width for an `n`-instruction sweep point: proportional so
@@ -251,8 +261,8 @@ fn main() {
         }
     };
     println!(
-        "{:>8}{:>8}{:>12}{:>16}{:>8}{:>12}{:>10}",
-        "instrs", "width", "best (s)", "instrs/sec", "reps", "weight ops", "tel ovh"
+        "{:>8}{:>8}{:>12}{:>16}{:>8}{:>12}{:>10}{:>14}",
+        "instrs", "width", "best (s)", "instrs/sec", "reps", "weight ops", "tel ovh", "ovh p25/p75"
     );
     let mut rows: Vec<Row> = Vec::new();
     // The first instrumented rep of each size, for `--trace`.
@@ -298,12 +308,11 @@ fn main() {
         // they are deterministic, so every rep agrees — and only that
         // rep joins the trace, keeping the shared timeline one run per
         // size.
-        let (counters, telemetry_secs) = {
+        let (counters, mut tel_times) = {
             let mut counters = CounterTotals::default();
-            let mut best_tel = f64::INFINITY;
-            let mut tel_reps = 0u32;
+            let mut tel_times = Vec::new();
             let clock = Instant::now();
-            while tel_reps == 0 || clock.elapsed().as_secs_f64() < budget_secs {
+            while tel_times.is_empty() || clock.elapsed().as_secs_f64() < budget_secs {
                 let sched = make_sched();
                 let mut buf = TelemetryBuffer::new();
                 let start = Instant::now();
@@ -311,17 +320,20 @@ fn main() {
                     .schedule_with_sink(unit.dag(), &machine, &mut buf)
                     .expect("instrumented convergent schedules");
                 let secs = start.elapsed().as_secs_f64();
-                if tel_reps == 0 {
+                if tel_times.is_empty() {
                     counters = buf.counter_total();
                     if trace_path.is_some() {
                         traced.push(buf);
                     }
                 }
-                best_tel = best_tel.min(secs);
-                tel_reps += 1;
+                tel_times.push(secs);
             }
-            (counters, best_tel)
+            (counters, tel_times)
         };
+        let telemetry_secs = tel_times.iter().copied().fold(f64::INFINITY, f64::min);
+        let plain = quartiles(&mut times);
+        let instrumented = quartiles(&mut tel_times);
+        let telemetry_spread = [instrumented[0] / plain[0], instrumented[2] / plain[2]];
         let shards_effective = shard_sizes.as_ref().map_or(1, Vec::len);
         if shards > 1 && shards_effective == 1 {
             eprintln!(
@@ -331,9 +343,11 @@ fn main() {
         }
         let ips = n as f64 / best;
         let overhead = telemetry_secs / best;
+        let [lo, hi] = telemetry_spread;
         println!(
-            "{n:>8}{width:>8}{best:>12.4}{ips:>16.0}{reps:>8}{:>12}{overhead:>9.2}x",
-            counters.weight_ops()
+            "{n:>8}{width:>8}{best:>12.4}{ips:>16.0}{reps:>8}{:>12}{overhead:>9.2}x{:>14}",
+            counters.weight_ops(),
+            format!("{lo:.2}/{hi:.2}x")
         );
         if let Some(sizes) = &shard_sizes {
             println!(
@@ -346,13 +360,11 @@ fn main() {
         if show_profile {
             println!("{}", best_spans.profile_table());
         }
-        times.sort_by(f64::total_cmp);
-        let quartiles = [1, 2, 3].map(|q| times[(times.len() - 1) * q / 4]);
         rows.push(Row {
             n,
             width,
             best,
-            quartiles,
+            quartiles: plain,
             ips,
             reps,
             spans: best_spans,
@@ -361,6 +373,7 @@ fn main() {
             shards_effective,
             counters,
             telemetry_secs,
+            telemetry_spread,
         });
     }
 
@@ -425,9 +438,11 @@ fn main() {
                 ));
             }
             json.push_str(&format!(
-                ", \"counters\": {}, \"telemetry_overhead\": {:.4}",
+                ", \"counters\": {}, \"telemetry_overhead\": {:.4}, \"telemetry_overhead_p25\": {:.4}, \"telemetry_overhead_p75\": {:.4}",
                 row.counters.to_json(),
-                row.telemetry_secs / row.best
+                row.telemetry_secs / row.best,
+                row.telemetry_spread[0],
+                row.telemetry_spread[1]
             ));
             json.push_str(&format!(
                 "}}{}\n",

@@ -42,11 +42,13 @@ impl Pass for LoadBalance {
                 load[c] += ctx.weights.cluster_weight(i, ClusterId::new(c as u16)) / tot;
             }
         }
+        for l in &mut load {
+            *l = 1.0 / *l;
+        }
+        // One bulk row op per instruction: the total is re-summed once,
+        // not once per cluster.
         for i in ctx.dag.ids() {
-            for c in 0..n_clusters {
-                ctx.weights
-                    .scale_cluster(i, ClusterId::new(c as u16), 1.0 / load[c]);
-            }
+            ctx.weights.scale_clusters_row(i, &load);
         }
     }
 

@@ -205,11 +205,6 @@ pub(crate) struct MapCounters {
 }
 
 impl MapCounters {
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub(crate) fn enable(&mut self) {
         self.enabled = true;
     }

@@ -21,7 +21,7 @@
 //!   opt-in per [`PreferenceMap`](crate::PreferenceMap).
 //! - **Convergence metrics** — per-pass measurements over the
 //!   preference map ([`ConvergenceMetrics`]): mean confidence,
-//!   decision churn, preference entropy, preplacement coverage.
+//!   decision churn, cluster entropy, preplacement coverage.
 //!   Computed only when a sink declares interest
 //!   ([`SinkInterest::convergence`]), since the sweep costs a full
 //!   pass worth of map reads.

@@ -375,7 +375,7 @@ mod tests {
             &ConvergenceMetrics {
                 mean_confidence: 1.0,
                 decision_churn: 0.0,
-                preference_entropy: 0.0,
+                cluster_entropy: 0.0,
                 preplacement_coverage: 1.0,
             },
         );

@@ -18,6 +18,7 @@ use std::fmt::Write as _;
 
 use convergent_analysis::escape_json;
 
+use super::convergence::CONFIDENCE_CAP;
 use super::counters::CounterTotals;
 use super::sink::{split_shard_prefix, SpanKind, TelemetryBuffer, TelemetryEvent};
 
@@ -478,10 +479,38 @@ pub struct TraceStats {
     pub span_names: std::collections::BTreeSet<String>,
 }
 
+/// Each convergence metric's range. Confidence may undershoot 1 by a
+/// hair: the map breaks argmax ties within `1e-12` toward the lowest
+/// cluster id.
+const CONVERGENCE_RANGES: [(&str, f64, f64); 4] = [
+    ("mean_confidence", 1.0 - 1e-6, CONFIDENCE_CAP),
+    ("decision_churn", 0.0, 1.0),
+    ("cluster_entropy", 0.0, f64::INFINITY),
+    ("preplacement_coverage", 0.0, 1.0),
+];
+
+/// Checks one convergence sample's `args`: exactly the four metrics,
+/// each a finite number in range.
+fn check_convergence(args: Option<&Json>) -> Result<(), String> {
+    if !matches!(args, Some(Json::Obj(pairs)) if pairs.len() == CONVERGENCE_RANGES.len()) {
+        return Err("convergence sample does not hold exactly four metrics".to_string());
+    }
+    for (key, lo, hi) in CONVERGENCE_RANGES {
+        match args.and_then(|a| a.get(key)).and_then(Json::as_f64) {
+            Some(v) if v.is_finite() && (lo..=hi).contains(&v) => {}
+            v => return Err(format!("{key} is {v:?}, not finite in [{lo}, {hi}]")),
+        }
+    }
+    Ok(())
+}
+
 /// Parses `text` as Chrome trace-event JSON and checks the schema the
 /// exporters promise: a `traceEvents` array whose members carry a
 /// string `name`, a string `ph`, a numeric `ts ≥ 0` in nondecreasing
-/// order, and a numeric `dur ≥ 0` on every `"X"` event.
+/// order, and a numeric `dur ≥ 0` on every `"X"` event. Every
+/// `"convergence"` counter sample must carry exactly the four
+/// convergence metrics, finite: churn and coverage in [0, 1],
+/// confidence in [1, [`CONFIDENCE_CAP`]] and entropy ≥ 0.
 ///
 /// # Errors
 ///
@@ -535,6 +564,10 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
                 stats.span_names.insert(name.to_string());
             }
             "C" => {
+                if ev.get("cat").and_then(Json::as_str) == Some("convergence") {
+                    check_convergence(ev.get("args"))
+                        .map_err(|e| format!("event {k} ({name}): {e}"))?;
+                }
                 stats.counter_events += 1;
             }
             "M" => {}

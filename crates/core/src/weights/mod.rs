@@ -327,12 +327,6 @@ impl PreferenceMap {
         self.counters.enable();
     }
 
-    /// `true` once [`PreferenceMap::enable_counters`] was called.
-    #[must_use]
-    pub fn counters_enabled(&self) -> bool {
-        self.counters.enabled()
-    }
-
     /// Snapshot of the hot-path counters accumulated so far. Band
     /// growth/densification events (tracked always-on by the rows)
     /// are merged in; referee/boundary fields stay zero — the driver
@@ -506,15 +500,6 @@ impl PreferenceMap {
         self.total[i.index()] * self.scale[i.index()]
     }
 
-    /// Shannon entropy (nats) of the normalized `W[i, ·, ·]`
-    /// distribution, computed in one bulk sweep of `i`'s stored cells —
-    /// the telemetry layer's convergence probe. Uniform rows score
-    /// `ln(cells)`; a fully converged row approaches zero.
-    #[must_use]
-    pub fn row_entropy(&self, i: InstrId) -> f64 {
-        self.entropy(i.index())
-    }
-
     /// Writes every instruction's normalized cluster marginal into
     /// `out` (row-major `n_instrs × n_clusters`) in one streaming
     /// sweep — bit-exact with filling each entry from
@@ -593,14 +578,6 @@ impl PreferenceMap {
     /// before handing raw rows to code that bypasses the accessors.
     pub fn materialize(&mut self, i: InstrId) {
         self.row_materialize(i.index());
-    }
-
-    /// [`PreferenceMap::materialize`] for every instruction — O(Σᵢ
-    /// C·bandᵢ) on the banded layout.
-    pub fn materialize_all(&mut self) {
-        for i in 0..self.n_instrs() {
-            self.materialize(InstrId::new(i as u32));
-        }
     }
 
     /// Resets `i` to a uniform distribution over its feasible window

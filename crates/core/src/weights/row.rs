@@ -443,45 +443,6 @@ impl PreferenceMap {
         }
         (best, second)
     }
-
-    /// Shannon entropy (nats) of row `r`'s normalized cell
-    /// distribution, in one sweep of the stored band (uniform rows in
-    /// closed form): with `w = raw·s`, `H = ln T − (s·Σ raw·ln raw +
-    /// s·ln s·Σ raw) / T`, so the scale factor multiplies once per row
-    /// instead of once per cell.
-    pub(super) fn entropy(&self, r: usize) -> f64 {
-        let s = self.scale[r];
-        let total = self.total[r] * s;
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let (raw_sum, raw_wlnw) = match &self.rows[r] {
-            Row::Uniform { per, .. } => {
-                let (lo, hi) = self.window[r];
-                let width = f64::from(hi - lo + 1);
-                let live = self.sums(r).iter().filter(|&&cs| cs != 0.0).count() as f64;
-                let cells = live * width;
-                if *per > 0.0 && cells > 0.0 {
-                    (cells * per, cells * per * per.ln())
-                } else {
-                    (0.0, 0.0)
-                }
-            }
-            Row::Band(b) => {
-                let mut raw_sum = 0.0;
-                let mut raw_wlnw = 0.0;
-                for &raw in b.w() {
-                    if raw > 0.0 {
-                        raw_sum += raw;
-                        raw_wlnw += raw * raw.ln();
-                    }
-                }
-                (raw_sum, raw_wlnw)
-            }
-        };
-        let sum_wlnw = s * raw_wlnw + s * s.ln() * raw_sum;
-        (total.ln() - sum_wlnw / total).max(0.0)
-    }
 }
 
 /// The per-row mutations. None of these count or log; the hook site

@@ -31,36 +31,22 @@ use convergent_sim::{Assignment, SpaceTimeSchedule};
 use crate::list::check_assignment;
 use crate::{ListScheduler, ScheduleError, Scheduler};
 
+/// The component cap θ. Desoli notes the tradeoff: small θ → more
+/// components → better assignments but longer compile times.
+const THETA: usize = 12;
+
 /// The PCC scheduler. See the module docs.
 #[derive(Clone, Debug)]
 pub struct PccScheduler {
-    theta: usize,
     max_rounds: usize,
 }
 
 impl PccScheduler {
-    /// Creates a PCC scheduler with the default component cap (θ = 12)
-    /// and up to 4 descent rounds.
+    /// Creates a PCC scheduler with the component cap θ = 12 and up to
+    /// 4 descent rounds.
     #[must_use]
     pub fn new() -> Self {
-        PccScheduler {
-            theta: 12,
-            max_rounds: 4,
-        }
-    }
-
-    /// Sets the maximum component size θ. Desoli notes the tradeoff:
-    /// small θ → more components → better assignments but longer
-    /// compile times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `theta` is zero.
-    #[must_use]
-    pub fn with_theta(mut self, theta: usize) -> Self {
-        assert!(theta > 0, "component cap must be positive");
-        self.theta = theta;
-        self
+        PccScheduler { max_rounds: 4 }
     }
 
     /// Sets the maximum number of iterative-descent rounds.
@@ -100,7 +86,7 @@ impl PccScheduler {
         machine: &Machine,
     ) -> Result<(Assignment, u64), ScheduleError> {
         crate::precondition::check_inputs(dag, machine)?;
-        let components = build_components(dag, machine, self.theta)?;
+        let components = build_components(dag, machine, THETA)?;
         let mut assignment = initial_assignment(dag, machine, &components);
         check_assignment(dag, machine, &assignment)?;
         let mut estimate = LengthEstimate::new(dag, machine, &assignment);
@@ -934,7 +920,7 @@ mod tests {
         let dag = b.build().unwrap();
         let m = Machine::chorus_vliw(4);
         let pcc = PccScheduler::new();
-        let comps = build_components(&dag, &m, pcc.theta).unwrap();
+        let comps = build_components(&dag, &m, THETA).unwrap();
         let initial = initial_assignment(&dag, &m, &comps);
         let init_len = ListScheduler::new()
             .schedule_with_cp(&dag, &m, &initial)
@@ -1023,12 +1009,6 @@ mod tests {
             .collect();
         let want: Vec<(String, u64)> = want.iter().map(|&(n, p)| (n.to_owned(), p)).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn theta_zero_panics() {
-        let r = std::panic::catch_unwind(|| PccScheduler::new().with_theta(0));
-        assert!(r.is_err());
     }
 
     #[test]

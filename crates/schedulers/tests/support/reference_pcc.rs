@@ -8,7 +8,7 @@
 
 use super::{
     build_components, initial_assignment, ClusterId, Estimate, InstrId, LengthEstimate,
-    PccScheduler,
+    PccScheduler, THETA,
 };
 use convergent_ir::Dag;
 use convergent_machine::Machine;
@@ -84,7 +84,7 @@ impl Estimate for Checked<'_> {
 /// the number of probes.
 pub(super) fn checked_descent(dag: &Dag, machine: &Machine) -> u64 {
     let pcc = PccScheduler::new();
-    let components = build_components(dag, machine, pcc.theta).unwrap();
+    let components = build_components(dag, machine, THETA).unwrap();
     let mut assignment = initial_assignment(dag, machine, &components);
     let mut estimate = Checked {
         inner: LengthEstimate::new(dag, machine, &assignment),
