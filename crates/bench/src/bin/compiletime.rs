@@ -44,9 +44,10 @@
 //!
 //! Measurements run serially (never through the parallel harness) so
 //! each row gets an unloaded machine. Every size is repeated
-//! until a fixed wall-clock budget (`--budget-secs`, default 2 s) is
-//! spent, so `best_seconds` is equally converged across rows instead
-//! of drifting with size; the measured rep count is recorded per row.
+//! until a fixed wall-clock budget (`--budget-secs`, default 2 s, for
+//! each of the plain and the instrumented reps) is spent, so
+//! `best_seconds` is equally converged across rows instead of drifting
+//! with size; the measured (plain) rep count is recorded per row.
 //!
 //! Any other argument is a usage error (exit 2, nothing measured or
 //! written); `--help` prints the flag list.
@@ -57,13 +58,14 @@
 //! the banded preference map and the bulk row kernels exist to
 //! prevent.
 //!
-//! Each size also runs a second, equally-budgeted loop of
-//! fully-instrumented reps through the telemetry layer: the hot-path
-//! counter totals and measured overhead (best instrumented rep over
-//! best uninstrumented rep, with its spread: instrumented p25 over
-//! plain p25, and the same at p75) land in the table and the JSON
-//! rows, and `--trace FILE` writes a Chrome trace (all sizes on one
-//! timeline) loadable in Perfetto.
+//! Each plain rep is followed by a fully-instrumented rep through the
+//! telemetry layer, in the same loop (which runs for twice the budget),
+//! so host drift falls on both alike: the hot-path counter totals and
+//! measured overhead (best instrumented rep over best uninstrumented
+//! rep, with its spread: instrumented p25 over plain p25, and the same
+//! at p75) land in the table and the JSON rows, and `--trace FILE`
+//! writes a Chrome trace (all sizes on one timeline) loadable in
+//! Perfetto.
 
 use std::time::Instant;
 
@@ -275,9 +277,22 @@ fn main() {
         let mut boundary_comms = None;
         let mut reps = 0u32;
         let mut times = Vec::new();
+        // Plain and fully-instrumented reps alternate in one loop, so a
+        // drift of the host's speed lands on both alike and cancels out
+        // of the overhead ratio (two loops one after the other read
+        // the drift as overhead). The loop runs for twice the budget,
+        // giving each kind about `budget_secs`. Best-of-N against
+        // best-of-N is the honest overhead ratio (a single rep against
+        // the min of thousands mostly measures run-to-run noise).
+        // Counter totals come from the first instrumented rep — they
+        // are deterministic, so every rep agrees — and only that rep
+        // joins the trace, keeping the shared timeline one run per
+        // size.
+        let mut counters = CounterTotals::default();
+        let mut tel_times = Vec::new();
         let clock = Instant::now();
-        // At least one rep, then keep going until the budget is spent.
-        while reps == 0 || clock.elapsed().as_secs_f64() < budget_secs {
+        // At least one pair, then keep going until the budget is spent.
+        while reps == 0 || clock.elapsed().as_secs_f64() < 2.0 * budget_secs {
             let sched = make_sched();
             let mut spans = TelemetryBuffer::with_interest(SinkInterest::spans_only());
             let start = Instant::now();
@@ -300,36 +315,22 @@ fn main() {
                     .expect("sharded schedule validates");
             }
             reps += 1;
-        }
-        // A second, equally-budgeted loop of fully-instrumented reps:
-        // best-of-N against best-of-N is the honest overhead ratio (a
-        // single rep against the min of thousands mostly measures
-        // run-to-run noise). Counter totals come from the first rep —
-        // they are deterministic, so every rep agrees — and only that
-        // rep joins the trace, keeping the shared timeline one run per
-        // size.
-        let (counters, mut tel_times) = {
-            let mut counters = CounterTotals::default();
-            let mut tel_times = Vec::new();
-            let clock = Instant::now();
-            while tel_times.is_empty() || clock.elapsed().as_secs_f64() < budget_secs {
-                let sched = make_sched();
-                let mut buf = TelemetryBuffer::new();
-                let start = Instant::now();
-                sched
-                    .schedule_with_sink(unit.dag(), &machine, &mut buf)
-                    .expect("instrumented convergent schedules");
-                let secs = start.elapsed().as_secs_f64();
-                if tel_times.is_empty() {
-                    counters = buf.counter_total();
-                    if trace_path.is_some() {
-                        traced.push(buf);
-                    }
+
+            let sched = make_sched();
+            let mut buf = TelemetryBuffer::new();
+            let start = Instant::now();
+            sched
+                .schedule_with_sink(unit.dag(), &machine, &mut buf)
+                .expect("instrumented convergent schedules");
+            let secs = start.elapsed().as_secs_f64();
+            if tel_times.is_empty() {
+                counters = buf.counter_total();
+                if trace_path.is_some() {
+                    traced.push(buf);
                 }
-                tel_times.push(secs);
             }
-            (counters, tel_times)
-        };
+            tel_times.push(secs);
+        }
         let telemetry_secs = tel_times.iter().copied().fold(f64::INFINITY, f64::min);
         let plain = quartiles(&mut times);
         let instrumented = quartiles(&mut tel_times);

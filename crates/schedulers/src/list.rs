@@ -18,6 +18,7 @@
 //!   transfer unit of the producer's cluster, and the consumer may
 //!   start one cycle after the copy issues.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use convergent_ir::{ClusterId, Cycle, Dag, IdMap, InstrId, OpClass};
@@ -27,6 +28,10 @@ use convergent_sim::{
 };
 
 use crate::ScheduleError;
+
+/// The list scheduler's ready order, lowest first: (priority, urgency,
+/// id). The id makes every key unique.
+type ReadyKey = (u32, u32, InstrId);
 
 /// Tracks inserted communication and cross-cluster value arrivals.
 #[derive(Clone, Debug, Default)]
@@ -235,14 +240,25 @@ impl ListScheduler {
         // far, and reservations only accumulate within a cycle — so one
         // witnessed `free_unit` failure rules the whole pair out for the
         // rest of the cycle. The ready set is therefore kept as one
-        // min-heap on (priority, urgency, id) *per pair*: each issue
-        // decision arbitrates across the heap tops of the pairs not yet
-        // ruled out, which reproduces exactly the historical
+        // min-heap on (priority, urgency, id) *per pair*, and each issue
+        // decision takes the best heap top among the pairs not yet ruled
+        // out. That reproduces exactly the historical
         // sort-after-every-issue scan ("always issue the best-ranked
         // eligible instruction") without ever touching the candidates
         // queued behind a blocked pair. The id is unique, so ordering
         // is total and the issue sequence — and with it every schedule
         // — is unchanged.
+        //
+        // The arbitration itself is a second, per-cycle min-heap `tops`
+        // of (heap-top key, pair), built once per cycle from the
+        // non-empty pairs. Invariant: every pair that is not blocked
+        // and not empty has an entry holding its current top. Issuing
+        // pushes the pair's new top, and a same-cycle release that
+        // becomes the top of a non-blocked pair pushes itself, so the
+        // invariant holds after every change. A popped entry whose pair
+        // is blocked, or whose key is no longer that pair's top (keys
+        // are unique), is stale and skipped; the first live entry is
+        // the best eligible instruction.
         let n_classes = OpClass::ALL.len();
         let pair_of: Vec<usize> = dag
             .ids()
@@ -256,20 +272,17 @@ impl ListScheduler {
             })
             .collect();
         let n_pairs = machine.n_clusters() * n_classes;
-        let mut ready: Vec<BinaryHeap<std::cmp::Reverse<(u32, u32, InstrId)>>> =
+        let mut ready: Vec<BinaryHeap<Reverse<ReadyKey>>> =
             (0..n_pairs).map(|_| BinaryHeap::new()).collect();
         for i in dag.ids().filter(|&i| unsched_preds[i.index()] == 0) {
-            ready[pair_of[i.index()]].push(std::cmp::Reverse((
-                priorities[i.index()],
-                urgency[i.index()],
-                i,
-            )));
+            ready[pair_of[i.index()]].push(Reverse((priorities[i.index()], urgency[i.index()], i)));
         }
         // Instructions released with operands still in flight wait in a
         // bucket for their arrival cycle instead of churning through
         // the ready heaps every cycle in between.
         let mut arrivals: Vec<Vec<InstrId>> = Vec::new();
         let mut blocked: Vec<bool> = vec![false; n_pairs];
+        let mut tops: BinaryHeap<Reverse<(ReadyKey, usize)>> = BinaryHeap::new();
         let mut n_placed = 0usize;
         let limit = cycle_limit(dag, machine);
 
@@ -280,7 +293,7 @@ impl ListScheduler {
             }
             if let Some(bucket) = arrivals.get_mut(t as usize) {
                 for i in bucket.drain(..) {
-                    ready[pair_of[i.index()]].push(std::cmp::Reverse((
+                    ready[pair_of[i.index()]].push(Reverse((
                         priorities[i.index()],
                         urgency[i.index()],
                         i,
@@ -288,25 +301,27 @@ impl ListScheduler {
                 }
             }
             blocked.fill(false);
+            tops.clear();
+            tops.extend(
+                ready
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(p, h)| h.peek().map(|&Reverse(key)| Reverse((key, p)))),
+            );
             // Issue as many ready instructions as resources allow.
-            loop {
-                let mut best: Option<(usize, (u32, u32, InstrId))> = None;
-                for (p, h) in ready.iter().enumerate() {
-                    if blocked[p] {
-                        continue;
-                    }
-                    if let Some(&std::cmp::Reverse(key)) = h.peek() {
-                        if best.is_none_or(|(_, b)| key < b) {
-                            best = Some((p, key));
-                        }
-                    }
+            while let Some(Reverse((key, p))) = tops.pop() {
+                if blocked[p] || ready[p].peek() != Some(&Reverse(key)) {
+                    continue;
                 }
-                let Some((p, (_, _, i))) = best else { break };
+                let (_, _, i) = key;
                 let cluster = assignment.cluster(i);
                 let class = dag.instr(i).class();
                 match resources.free_unit(cluster, class, t) {
                     Some(fu) => {
                         ready[p].pop();
+                        if let Some(&Reverse(next)) = ready[p].peek() {
+                            tops.push(Reverse((next, p)));
+                        }
                         resources.reserve(cluster, fu, t);
                         start[i.index()] = Some(t);
                         fu_of[i.index()] = fu;
@@ -334,9 +349,10 @@ impl ListScheduler {
                         // was. A zero-latency producer can release a
                         // consumer into the current cycle; entering its
                         // ready heap it contends in rank order with
-                        // everything not yet issued, as before. (A
-                        // release into a blocked pair stays queued: it
-                        // could not have issued this cycle anyway.)
+                        // everything not yet issued, as before, and if
+                        // it becomes its pair's top it enters `tops`.
+                        // (A release into a blocked pair stays queued:
+                        // it could not have issued this cycle anyway.)
                         for &s in dag.succs(i) {
                             unsched_preds[s.index()] -= 1;
                             if unsched_preds[s.index()] == 0 {
@@ -363,11 +379,12 @@ impl ListScheduler {
                                     }
                                     arrivals[slot].push(s);
                                 } else {
-                                    ready[pair_of[s.index()]].push(std::cmp::Reverse((
-                                        priorities[s.index()],
-                                        urgency[s.index()],
-                                        s,
-                                    )));
+                                    let ps = pair_of[s.index()];
+                                    let key = (priorities[s.index()], urgency[s.index()], s);
+                                    ready[ps].push(Reverse(key));
+                                    if !blocked[ps] && ready[ps].peek() == Some(&Reverse(key)) {
+                                        tops.push(Reverse((key, ps)));
+                                    }
                                 }
                             }
                         }
@@ -411,10 +428,141 @@ impl ListScheduler {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/reference_list.rs"]
+mod reference_list;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use convergent_ir::{DagBuilder, Opcode};
+    use convergent_machine::LatencyTable;
+    use convergent_rng::Rng;
     use convergent_sim::validate;
+    use convergent_workloads::{build_unit, raw_suite, vliw_suite, FAMILIES};
+    use proptest::prelude::*;
+
+    /// Schedules with the incremental selection and with the reference
+    /// full scan, and requires the same result.
+    fn same_as_reference(
+        dag: &Dag,
+        m: &Machine,
+        asg: &Assignment,
+        priorities: &[u32],
+    ) -> SpaceTimeSchedule {
+        let got = ListScheduler::new().schedule(dag, m, asg, priorities);
+        assert_eq!(
+            got,
+            reference_list::schedule(dag, m, asg, priorities),
+            "on {}",
+            m.name()
+        );
+        got.expect("schedules")
+    }
+
+    /// A machine whose integer ops take no cycles, so a producer can
+    /// release its consumers into the cycle it issues in.
+    fn zero_latency_alu(m: Machine) -> Machine {
+        m.with_latencies(LatencyTable::r4000().with(OpClass::IntAlu, 0))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn incremental_selection_matches_the_full_scan(
+            family in 0usize..FAMILIES.len(),
+            size in 2usize..150,
+            seed in any::<u64>(),
+            machine in 0usize..6,
+        ) {
+            let machine = match machine {
+                0 => Machine::chorus_vliw(2),
+                1 => Machine::chorus_vliw(4),
+                2 => zero_latency_alu(Machine::chorus_vliw(4)),
+                3 => Machine::raw(4),
+                4 => zero_latency_alu(Machine::raw(4)),
+                _ => Machine::raw(16),
+            };
+            let unit = build_unit(FAMILIES[family], size, machine.n_clusters() as u16, seed);
+            let dag = unit.dag();
+            // A scattered assignment (homes kept) and coarse priorities,
+            // so ties fall through to urgency and id.
+            let mut rng = Rng::seed_from_u64(seed);
+            let asg: Assignment = dag
+                .ids()
+                .map(|i| {
+                    let k = rng.below(machine.n_clusters());
+                    dag.instr(i).preplacement().unwrap_or(c(k as u16))
+                })
+                .collect();
+            let priorities: Vec<u32> = dag.ids().map(|_| rng.below(8) as u32).collect();
+            let got = ListScheduler::new().schedule(dag, &machine, &asg, &priorities);
+            prop_assert_eq!(got, reference_list::schedule(dag, &machine, &asg, &priorities));
+        }
+    }
+
+    #[test]
+    fn incremental_selection_matches_the_full_scan_on_the_suites() {
+        for (m, suite) in [
+            (Machine::chorus_vliw(4), vliw_suite(4)),
+            (Machine::raw(16), raw_suite(16)),
+        ] {
+            for unit in suite {
+                let dag = unit.dag();
+                let asg: Assignment = dag
+                    .ids()
+                    .map(|i| {
+                        dag.instr(i)
+                            .preplacement()
+                            .unwrap_or(c((i.index() % m.n_clusters()) as u16))
+                    })
+                    .collect();
+                same_as_reference(dag, &m, &asg, &crate::cp_priorities(dag, &m));
+            }
+        }
+    }
+
+    #[test]
+    fn same_cycle_release_into_an_open_pair_issues_at_once() {
+        // `a` takes no cycles; its consumer `b` is released into the
+        // current cycle, becomes the top of the (cluster 0, int) pair
+        // that still has a free unit, and issues beside `a`.
+        let mut b = DagBuilder::new();
+        let a = b.instr(Opcode::IntAlu);
+        let d = b.instr(Opcode::IntAlu);
+        b.edge(a, d).unwrap();
+        let dag = b.build().unwrap();
+        let m = zero_latency_alu(Machine::chorus_vliw(1));
+        let asg = Assignment::uniform(2, c(0));
+        let s = same_as_reference(&dag, &m, &asg, &[0, 1]);
+        validate(&dag, &m, &s).unwrap();
+        assert_eq!(s.op(a).start.get(), 0);
+        assert_eq!(s.op(d).start.get(), 0);
+    }
+
+    #[test]
+    fn same_cycle_release_into_a_blocked_pair_waits() {
+        // One FPU: `f2` fails at cycle 0 and blocks the (cluster 0,
+        // fp) pair. The zero-latency `a` then releases `f3` into that
+        // blocked pair; it must not issue at 0, and next cycle it
+        // still ranks behind `f2`.
+        let mut b = DagBuilder::new();
+        let f1 = b.instr(Opcode::FMul);
+        let f2 = b.instr(Opcode::FMul);
+        let a = b.instr(Opcode::IntAlu);
+        let f3 = b.instr(Opcode::FMul);
+        b.edge(a, f3).unwrap();
+        let dag = b.build().unwrap();
+        let m = zero_latency_alu(Machine::chorus_vliw(1));
+        let asg = Assignment::uniform(4, c(0));
+        let s = same_as_reference(&dag, &m, &asg, &[0, 1, 2, 3]);
+        validate(&dag, &m, &s).unwrap();
+        let starts: Vec<u32> = [f1, f2, a, f3]
+            .iter()
+            .map(|&i| s.op(i).start.get())
+            .collect();
+        assert_eq!(starts, vec![0, 1, 0, 2]);
+    }
 
     fn c(i: u16) -> ClusterId {
         ClusterId::new(i)

@@ -9,7 +9,7 @@
 //!    each instruction joins the predecessor cluster that minimizes its
 //!    estimated start time, or starts a new cluster).
 //! 2. **Merging** — reduce the number of virtual clusters to the
-//!    machine's tile count, merging by edge affinity and load, and
+//!    machine's tile count, merging the two smallest by load, and
 //!    never merging two clusters pinned to different homes.
 //! 3. **Placement** — map virtual clusters to tiles: pinned clusters
 //!    go to their home tile, the rest greedily minimize
@@ -178,22 +178,10 @@ fn cluster_step(dag: &Dag, machine: &Machine) -> Result<VirtualClusters, Schedul
     })
 }
 
-/// Edge counts between virtual clusters.
-fn affinity(dag: &Dag, vcs: &VirtualClusters, a: usize, b: usize) -> usize {
-    dag.edges()
-        .filter(|e| {
-            let (x, y) = (vcs.of[e.src.index()], vcs.of[e.dst.index()]);
-            (x == a && y == b) || (x == b && y == a)
-        })
-        .count()
-}
-
-fn merge_into(vcs: &mut VirtualClusters, winner: usize, loser: usize) {
-    for slot in &mut vcs.of {
-        if *slot == loser {
-            *slot = winner;
-        }
-    }
+/// Tombstones `loser` and records `winner` as the cluster it merged
+/// into; members are relabelled once, at the end of [`merge_step`].
+fn merge_into(vcs: &mut VirtualClusters, merged: &mut [usize], winner: usize, loser: usize) {
+    merged[loser] = winner;
     vcs.load[winner] += vcs.load[loser];
     vcs.load[loser] = 0;
     vcs.alive[loser] = false;
@@ -205,6 +193,10 @@ fn merge_into(vcs: &mut VirtualClusters, winner: usize, loser: usize) {
 /// Step 2: merge to at most the machine's cluster count.
 fn merge_step(machine: &Machine, vcs: &mut VirtualClusters) {
     let target = machine.n_clusters();
+    // The cluster each virtual cluster merged into (itself while
+    // alive). A winner can lose a later merge, so members follow the
+    // chain of winners to its live end.
+    let mut merged: Vec<usize> = (0..vcs.home.len()).collect();
     // First merge clusters sharing the same home: on hard machines
     // they must coexist on one tile anyway.
     for c in machine.cluster_ids() {
@@ -213,7 +205,7 @@ fn merge_step(machine: &Machine, vcs: &mut VirtualClusters) {
             .collect();
         if let Some(&first) = homed.first() {
             for &other in &homed[1..] {
-                merge_into(vcs, first, other);
+                merge_into(vcs, &mut merged, first, other);
             }
             homed.truncate(1);
         }
@@ -243,13 +235,26 @@ fn merge_step(machine: &Machine, vcs: &mut VirtualClusters) {
             Some(p) => {
                 // Keep the homed one as winner so the pin survives.
                 if vcs.home[small].is_some() && vcs.home[p].is_none() {
-                    merge_into(vcs, small, p);
+                    merge_into(vcs, &mut merged, small, p);
                 } else {
-                    merge_into(vcs, p, small);
+                    merge_into(vcs, &mut merged, p, small);
                 }
             }
             None => break, // everything left is pinned apart
         }
+    }
+    // Resolve every chain to its live end (path halving), then
+    // relabel each member once.
+    for vc in 0..merged.len() {
+        let mut end = vc;
+        while merged[end] != end {
+            merged[end] = merged[merged[end]];
+            end = merged[end];
+        }
+        merged[vc] = end;
+    }
+    for slot in &mut vcs.of {
+        *slot = merged[*slot];
     }
 }
 
@@ -274,15 +279,36 @@ fn place_step(
             used[h.index()] = true;
         }
     }
-    // Others: heaviest first, minimizing hop-weighted affinity to the
-    // already placed.
+    // Others: heaviest first, minimizing hop-weighted affinity (edge
+    // count, either direction) to the already placed. One edge pass per
+    // cluster fills its affinity row; only live clusters have members,
+    // so clearing their entries resets it.
     let mut rest: Vec<usize> = alive
         .iter()
         .copied()
         .filter(|&vc| phys_of[vc].is_none())
         .collect();
     rest.sort_by_key(|&vc| (std::cmp::Reverse(vcs.load[vc]), vc));
+    let mut row: Vec<u32> = vec![0; vcs.home.len()];
+    let mut placed: Vec<(ClusterId, u32)> = Vec::new();
     for vc in rest {
+        for e in dag.edges() {
+            let (x, y) = (vcs.of[e.src.index()], vcs.of[e.dst.index()]);
+            if x == vc && y != vc {
+                row[y] += 1;
+            } else if y == vc && x != vc {
+                row[x] += 1;
+            }
+        }
+        placed.clear();
+        for &other in &alive {
+            if let Some(pc) = phys_of[other] {
+                if row[other] > 0 {
+                    placed.push((pc, row[other]));
+                }
+            }
+            row[other] = 0;
+        }
         let candidates: Vec<ClusterId> =
             machine.cluster_ids().filter(|c| !used[c.index()]).collect();
         let pool = if candidates.is_empty() {
@@ -293,10 +319,9 @@ fn place_step(
         let best = pool
             .into_iter()
             .min_by_key(|&c| {
-                let cost: u32 = alive
+                let cost: u32 = placed
                     .iter()
-                    .filter_map(|&other| phys_of[other].map(|pc| (other, pc)))
-                    .map(|(other, pc)| affinity(dag, vcs, vc, other) as u32 * machine.hops(c, pc))
+                    .map(|&(pc, edges)| edges * machine.hops(c, pc))
                     .sum();
                 (cost, c)
             })
@@ -311,10 +336,107 @@ fn place_step(
 }
 
 #[cfg(test)]
+#[path = "../tests/support/reference_rawcc.rs"]
+mod reference_rawcc;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use convergent_ir::{DagBuilder, Opcode};
     use convergent_sim::validate;
+    use convergent_workloads::{
+        build_unit, fpppp_kernel, raw_suite, sha, vliw_suite, FppppParams, ShaParams, FAMILIES,
+    };
+    use proptest::prelude::*;
+
+    /// Merges and places with the one-pass steps and with the reference
+    /// steps, requiring the same virtual clusters and the same tiles.
+    /// Returns the merged clusters.
+    fn same_as_reference(dag: &Dag, m: &Machine) -> VirtualClusters {
+        let mut vcs = cluster_step(dag, m).unwrap();
+        let mut want = vcs.clone();
+        merge_step(m, &mut vcs);
+        reference_rawcc::merge_step(m, &mut want);
+        assert_eq!(
+            (&vcs.of, &vcs.alive, &vcs.home, &vcs.load),
+            (&want.of, &want.alive, &want.home, &want.load),
+            "merge on {}",
+            m.name()
+        );
+        assert_eq!(
+            place_step(dag, m, &vcs),
+            reference_rawcc::place_step(dag, m, &vcs),
+            "placement on {}",
+            m.name()
+        );
+        vcs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn one_pass_merge_and_placement_match_the_reference(
+            family in 0usize..FAMILIES.len(),
+            size in 2usize..150,
+            seed in any::<u64>(),
+            machine in 0usize..4,
+        ) {
+            let machine = match machine {
+                0 => Machine::chorus_vliw(4),
+                1 => Machine::raw(4),
+                2 => Machine::raw(8),
+                _ => Machine::raw(16),
+            };
+            let unit = build_unit(FAMILIES[family], size, machine.n_clusters() as u16, seed);
+            if cluster_step(unit.dag(), &machine).is_ok() {
+                same_as_reference(unit.dag(), &machine);
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_merge_and_placement_match_the_reference_on_the_suites() {
+        for (m, suite) in [
+            (Machine::chorus_vliw(4), vliw_suite(4)),
+            (Machine::raw(16), raw_suite(16)),
+        ] {
+            for unit in suite {
+                same_as_reference(unit.dag(), &m);
+            }
+        }
+    }
+
+    #[test]
+    fn merge_chains_relabel_to_the_last_winner() {
+        // Ten singletons on two tiles. The first merges pair them up
+        // (0 into 1, 2 into 3, ...); then cluster 1, holding 0, loses
+        // to cluster 3: instruction 0 follows the chain 0 → 1 → 3.
+        let mut b = DagBuilder::new();
+        let ids: Vec<InstrId> = (0..10).map(|_| b.instr(Opcode::IntAlu)).collect();
+        let dag = b.build().unwrap();
+        let vcs = same_as_reference(&dag, &Machine::raw(2));
+        assert_eq!(vcs.n_alive(), 2);
+        assert_eq!(vcs.of[ids[0].index()], vcs.of[ids[3].index()]);
+        assert!(vcs.alive[vcs.of[ids[0].index()]]);
+    }
+
+    #[test]
+    fn unpinned_placement_matches_the_reference() {
+        // fpppp and sha carry no preplacement, so every virtual cluster
+        // is placed by hop-weighted affinity alone.
+        for n in [4, 8, 16] {
+            let m = Machine::raw(n);
+            for unit in [fpppp_kernel(FppppParams::small()), sha(ShaParams::small())] {
+                assert!(unit
+                    .dag()
+                    .ids()
+                    .all(|i| unit.dag().instr(i).preplacement().is_none()));
+                let vcs = same_as_reference(unit.dag(), &m);
+                assert!(vcs.home.iter().all(Option::is_none));
+            }
+        }
+    }
 
     fn c(i: u16) -> ClusterId {
         ClusterId::new(i)
