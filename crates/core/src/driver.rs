@@ -356,9 +356,6 @@ impl ConvergentScheduler {
         let time = TimeAnalysis::compute(dag, |i| machine.latency_of(i));
         let n_slots = (time.critical_path_length().max(1)) as usize;
         let mut weights = PreferenceMap::new(dag.len(), machine.n_clusters(), n_slots);
-        if interest.counters {
-            weights.enable_counters();
-        }
         let mut rng = Rng::seed_from_u64(self.seed);
         let mut scratch = PassScratch::default();
         let mut trace = ConvergenceTrace::default();

@@ -7,12 +7,10 @@
 //!   this is what sinks receive (batched once per span, never from
 //!   inside a hot loop).
 //! * [`MapCounters`] — the live accumulator owned by
-//!   [`crate::PreferenceMap`]. Counting is **off by default**: every
-//!   increment site first checks a plain `bool`, so the disabled path
-//!   costs one predictable branch (and the scheduler's byte-identical
-//!   output never depends on the flag — counters only observe). Only
-//!   mutations count, so the counts are plain `u64`s bumped through
-//!   `&mut PreferenceMap`.
+//!   [`crate::PreferenceMap`], always on: each mutation bumps one
+//!   `u64` through `&mut PreferenceMap`, and the scheduler's output
+//!   never depends on the counts. Reads never count. Whether counts
+//!   are emitted is the driver's choice (`SinkInterest::counters`).
 
 /// A snapshot of every telemetry counter, batched per span.
 ///
@@ -50,9 +48,11 @@ pub struct CounterTotals {
     /// Always 0, like [`CounterTotals::argmax_hits`], and deleted with
     /// it.
     pub argmax_misses: u64,
-    /// Banded-layout band growths (out-of-band absolute writes).
+    /// Always 0: a band is its row's window and never grows. Outside
+    /// [`CounterTotals::named`] and every exporter; kept only because
+    /// the `schedbench` harness still reads it.
     pub band_growths: u64,
-    /// Uniform-row densifications on the banded layout.
+    /// Untouched rows densified into a band at their window.
     pub band_densifications: u64,
     /// Cross-shard transfers inserted by the stitch fix-up.
     pub boundary_comms: u64,
@@ -80,7 +80,7 @@ impl CounterTotals {
     /// Every counter as `(name, value)`, in a fixed order — the single
     /// source of truth for exporters.
     #[must_use]
-    pub fn named(&self) -> [(&'static str, u64); 20] {
+    pub fn named(&self) -> [(&'static str, u64); 19] {
         [
             ("set", self.set),
             ("scale", self.scale),
@@ -91,7 +91,6 @@ impl CounterTotals {
             ("normalize", self.normalize),
             ("reset_uniform", self.reset_uniform),
             ("row_batch", self.row_batch),
-            ("band_growths", self.band_growths),
             ("band_densifications", self.band_densifications),
             ("boundary_comms", self.boundary_comms),
             ("governor_accepts", self.governor_accepts),
@@ -194,27 +193,17 @@ pub(crate) enum OpKind {
     RowBatch,
 }
 
-/// The live counter block owned by [`crate::PreferenceMap`].
-///
-/// Disabled by default: every increment first checks `enabled`, so the
-/// hot path pays one well-predicted branch.
+/// The live counter block owned by [`crate::PreferenceMap`], always
+/// on.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MapCounters {
-    enabled: bool,
     totals: CounterTotals,
 }
 
 impl MapCounters {
-    pub(crate) fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Counts one weight operation. No-op (one branch) when disabled.
+    /// Counts one weight operation.
     #[inline]
     pub(crate) fn op(&mut self, kind: OpKind) {
-        if !self.enabled {
-            return;
-        }
         let t = &mut self.totals;
         let field = match kind {
             OpKind::Set => &mut t.set,
@@ -230,32 +219,15 @@ impl MapCounters {
         *field += 1;
     }
 
-    /// Snapshot of the map-owned counters (band events are owned by
-    /// the banded core and merged by the map).
-    pub(crate) fn totals(&self) -> CounterTotals {
-        self.totals
-    }
-}
-
-/// Always-on band-event stats owned by the banded core. Band growth
-/// and densification are cold row-state transitions (at most a few per
-/// row per schedule), so these are not gated on the enabled flag —
-/// one increment at a site that just paid a reallocation.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct BandStats {
-    pub(crate) growths: u64,
-    pub(crate) densifications: u64,
-}
-
-impl BandStats {
-    #[inline]
-    pub(crate) fn grew(&mut self) {
-        self.growths += 1;
-    }
-
+    /// Counts one untouched row densified into a band.
     #[inline]
     pub(crate) fn densified(&mut self) {
-        self.densifications += 1;
+        self.totals.band_densifications += 1;
+    }
+
+    /// Snapshot of the map-owned counters.
+    pub(crate) fn totals(&self) -> CounterTotals {
+        self.totals
     }
 }
 
@@ -273,16 +245,16 @@ mod tests {
         let b = CounterTotals {
             set: 3,
             row_batch: 1,
-            band_growths: 2,
+            band_densifications: 2,
             ..CounterTotals::default()
         };
         let d = a.delta_since(&b);
         assert_eq!(d.set, 7);
         assert_eq!(d.row_batch, 3);
-        assert_eq!(d.band_growths, 0); // saturating
+        assert_eq!(d.band_densifications, 0); // saturating
         a.merge(&b);
         assert_eq!(a.set, 13);
-        assert_eq!(a.band_growths, 2);
+        assert_eq!(a.band_densifications, 2);
         assert!(!a.is_zero());
         assert!(CounterTotals::default().is_zero());
     }
@@ -292,24 +264,10 @@ mod tests {
         let t = CounterTotals {
             set: 2,
             row_batch: 3,
-            band_growths: 7,
+            band_densifications: 7,
             ..CounterTotals::default()
         };
         assert_eq!(t.weight_ops(), 5);
-    }
-
-    #[test]
-    fn map_counters_disabled_by_default() {
-        let mut c = MapCounters::default();
-        c.op(OpKind::Set);
-        assert!(c.totals().is_zero());
-        c.enable();
-        c.op(OpKind::Set);
-        c.op(OpKind::RowBatch);
-        let t = c.totals();
-        assert_eq!(t.set, 1);
-        assert_eq!(t.row_batch, 1);
-        assert_eq!(t.weight_ops(), 2);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   `--profile` table sums the stage and pass spans of a recorded
 //!   run ([`TelemetryBuffer::profile_table`]).
 //! - **Counters** — hot-path event counts batched per pass
-//!   ([`CounterTotals`]): weight ops by kind, band
-//!   growths/densifications, boundary
-//!   COMMs, and referee verdicts. The disabled path costs one
-//!   predictable branch per already-cold call site; enabling is
-//!   opt-in per [`PreferenceMap`](crate::PreferenceMap).
+//!   ([`CounterTotals`]): weight ops by kind, band densifications,
+//!   boundary COMMs, and referee verdicts. A
+//!   [`PreferenceMap`](crate::PreferenceMap) always counts (one `u64`
+//!   increment per mutation); the driver emits the counts only to a
+//!   sink whose [`SinkInterest::counters`] asks for them.
 //! - **Convergence metrics** — per-pass measurements over the
 //!   preference map ([`ConvergenceMetrics`]): mean confidence,
 //!   decision churn, cluster entropy, preplacement coverage.
@@ -44,7 +44,7 @@ mod trace_json;
 
 pub use convergence::{measure, ConvergenceMetrics, CONFIDENCE_CAP, CONVERGENCE_SAMPLE_CAP};
 pub use counters::CounterTotals;
-pub(crate) use counters::{BandStats, MapCounters, OpKind};
+pub(crate) use counters::{MapCounters, OpKind};
 pub use sink::{
     split_shard_prefix, SinkInterest, SpanKind, TelemetryBuffer, TelemetryEvent, TelemetrySink,
 };

@@ -130,13 +130,7 @@ fn push_counter_groups(events: &mut Vec<Event>, path: &str, delta: &CounterTotal
                 ("row_batch", delta.row_batch),
             ],
         ),
-        (
-            "band",
-            &[
-                ("growths", delta.band_growths),
-                ("densifications", delta.band_densifications),
-            ],
-        ),
+        ("band", &[("densifications", delta.band_densifications)]),
         ("boundary comms", &[("inserted", delta.boundary_comms)]),
         (
             "governor",

@@ -25,7 +25,7 @@
 //!
 //! [`PreferenceMap`] owns the per-instruction arrays (rows, marginals,
 //! totals, scale factors, windows, feasibility flags) plus the
-//! recording log and the telemetry counters. Every per-row
+//! recording log and the always-on telemetry counters. Every per-row
 //! operation is written once, in the private `row` module, as a map
 //! method taking a row index; the public methods here take an
 //! [`InstrId`]. Each primitive mutation passes one hook site,
@@ -38,16 +38,19 @@
 //! `n_clusters × n_slots` row per instruction makes every whole-map
 //! operation O(N·C·cp_len) ≈ O(N²·C). But after INITTIME each
 //! instruction is confined to its feasible `[lo, hi]` window — a slack
-//! band that is typically narrow and independent of the unit size. The
-//! map therefore stores, per instruction, only the cells of a *band*
-//! anchored at that window:
+//! band that is typically narrow and independent of the unit size; the
+//! paper's INITTIME "squashes to zero all the weights outside this
+//! range". The map therefore stores, per instruction, exactly the cells
+//! of that window, its *band*:
 //!
-//! * reads outside the band return exactly `0.0`;
-//! * absolute writes outside the band grow it (amortized margin,
-//!   clamped to `[0, n_slots)`);
-//! * [`PreferenceMap::set_window`] shrinks it;
-//! * rows in the uniform state (fresh maps, `reset_uniform`) are kept
-//!   in an O(1) closed form until a non-uniform write arrives.
+//! * reads outside the window return exactly `0.0`;
+//! * a nonzero absolute write outside it panics (the `CS060` rule that
+//!   every builtin pass proves statically), and a zero one is a no-op;
+//! * [`PreferenceMap::set_window`] shrinks the band with the window;
+//! * a row with no cell written yet is answered in closed form (every
+//!   cluster live, `1/(C·n_slots)` in every cell of its window); the
+//!   first write of a cell or feasibility flag densifies it at its
+//!   window, and `reset_uniform` refills the band in place.
 //!
 //! Whole-map work (`normalize_all`, `reset_uniform`,
 //! `set_cluster_marginal`, marginal maintenance, argmax scans,
@@ -91,7 +94,7 @@ use convergent_ir::{ClusterId, Cycle, InstrId};
 
 use row::Row;
 
-use crate::telemetry::{BandStats, CounterTotals, MapCounters, OpKind};
+use crate::telemetry::{CounterTotals, MapCounters, OpKind};
 
 /// Weights below this threshold are treated as zero when normalizing,
 /// and argmax scans treat values within it of the leader as ties.
@@ -272,15 +275,12 @@ pub struct PreferenceMap {
     window: Vec<(u32, u32)>,
     /// Feasibility flags, flat `n_instrs × n_clusters`.
     cluster_ok: Vec<bool>,
-    /// Band growth/densification events, counted always.
-    stats: BandStats,
     /// Reused by `set_cluster_marginal` to avoid per-call allocation.
     scratch: Vec<f64>,
     /// When present, every primitive mutation is appended here (the
     /// recording proxy; see [`PreferenceMap::record`]).
     log: Option<Vec<WeightOp>>,
-    /// Telemetry hot-path counters; disabled (one predictable branch
-    /// per mutation) until [`PreferenceMap::enable_counters`].
+    /// Telemetry hot-path counters, always on.
     counters: MapCounters,
 }
 
@@ -297,46 +297,29 @@ impl PreferenceMap {
         assert!(n_clusters > 0, "need at least one cluster");
         assert!(n_slots > 0, "need at least one time slot");
         assert!(n_clusters < usize::from(u16::MAX), "too many clusters");
-        let per = 1.0 / (n_clusters * n_slots) as f64;
+        let per = row::uniform_cell(n_clusters, n_slots);
         PreferenceMap {
             n_clusters,
             n_slots,
-            rows: vec![
-                Row::Uniform {
-                    per,
-                    tsum: per * n_clusters as f64,
-                };
-                n_instrs
-            ],
+            rows: vec![Row::Untouched; n_instrs],
             cluster_sum: vec![per * n_slots as f64; n_instrs * n_clusters],
             total: vec![1.0; n_instrs],
             scale: vec![1.0; n_instrs],
             window: vec![(0, n_slots as u32 - 1); n_instrs],
             cluster_ok: vec![true; n_instrs * n_clusters],
-            stats: BandStats::default(),
             scratch: Vec::new(),
             log: None,
             counters: MapCounters::default(),
         }
     }
 
-    /// Enables the telemetry hot-path counters (weight ops by kind).
-    /// Counting never changes weights, so schedules are bit-identical
-    /// with counters on or off.
-    pub fn enable_counters(&mut self) {
-        self.counters.enable();
-    }
-
-    /// Snapshot of the hot-path counters accumulated so far. Band
-    /// growth/densification events (tracked always-on by the rows)
-    /// are merged in; referee/boundary fields stay zero — the driver
-    /// and harnesses own those.
+    /// Snapshot of the hot-path counters accumulated so far (weight
+    /// ops by kind and band densifications); referee/boundary fields
+    /// stay zero — the driver and harnesses own those. Counting never
+    /// changes weights.
     #[must_use]
     pub fn counter_totals(&self) -> CounterTotals {
-        let mut t = self.counters.totals();
-        t.band_growths = self.stats.growths;
-        t.band_densifications = self.stats.densifications;
-        t
+        self.counters.totals()
     }
 
     /// The one hook site of the primitive mutators: logs `op` while
@@ -357,6 +340,7 @@ impl PreferenceMap {
     fn counted(&mut self, kind: OpKind, r: usize, body: impl FnOnce(&mut Self, usize)) {
         body(self, r);
         self.counters.op(kind);
+        debug_assert!(self.band_fits_window(r), "row {r}'s band is not its window");
     }
 
     /// Number of instructions.
@@ -377,30 +361,19 @@ impl PreferenceMap {
         self.n_slots
     }
 
-    /// The `[lo, hi]` extent of `i`'s stored band.
-    #[must_use]
-    pub fn band(&self, i: InstrId) -> (u32, u32) {
-        self.row_band(i.index())
-    }
-
-    /// Number of raw weight cells currently stored — the banded
-    /// layout's compression metric (a uniform row counts as one).
-    #[must_use]
-    pub fn stored_cells(&self) -> usize {
-        self.rows.iter().map(Row::stored_cells).sum()
-    }
-
     /// The weight `W[i, c, t]`.
     #[must_use]
     pub fn get(&self, i: InstrId, c: ClusterId, t: u32) -> f64 {
         self.raw(i.index(), c.index(), t as usize) * self.scale[i.index()]
     }
 
-    /// Sets `W[i, c, t]`, updating marginals.
+    /// Sets `W[i, c, t]`, updating marginals. A zero written outside
+    /// `i`'s window is a no-op.
     ///
     /// # Panics
     ///
-    /// Panics if `value` is negative or not finite.
+    /// Panics if `value` is negative or not finite, or nonzero with `t`
+    /// outside `i`'s window.
     pub fn set(&mut self, i: InstrId, c: ClusterId, t: u32, value: f64) {
         self.mutate(WeightOp::Set { i, c, t, value }, |m, r| {
             m.row_set(r, c, t, value)
@@ -408,6 +381,10 @@ impl PreferenceMap {
     }
 
     /// Adds `delta` to `W[i, c, t]`, clamping at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sum is nonzero with `t` outside `i`'s window.
     pub fn add(&mut self, i: InstrId, c: ClusterId, t: u32, delta: f64) {
         let cur = self.get(i, c, t);
         self.set(i, c, t, (cur + delta).max(0.0));
@@ -450,8 +427,7 @@ impl PreferenceMap {
     /// Restricts `i` to time slots `[lo, hi]`, zeroing all weight
     /// outside and *intersecting* the recorded window with any window
     /// set earlier — a feasibility constraint, once established, can
-    /// only tighten. The banded layout also shrinks `i`'s band to the
-    /// new window.
+    /// only tighten. `i`'s band shrinks with the window.
     ///
     /// # Panics
     ///
@@ -543,13 +519,7 @@ impl PreferenceMap {
     /// Ties break toward the earliest slot.
     #[must_use]
     pub fn preferred_time(&self, i: InstrId) -> Cycle {
-        let r = i.index();
-        Cycle::new(row::scan_top_time(
-            &self.rows[r],
-            self.window[r],
-            self.scale[r],
-            self.n_slots,
-        ))
+        Cycle::new(self.top_time(i.index()))
     }
 
     /// The paper's confidence: the ratio of the top two cluster
@@ -581,8 +551,7 @@ impl PreferenceMap {
     }
 
     /// Resets `i` to a uniform distribution over its feasible window
-    /// and clusters. On the banded layout this returns the row to its
-    /// O(1) closed form.
+    /// and clusters, refilling its band in place.
     pub fn reset_uniform(&mut self, i: InstrId) {
         self.mutate(WeightOp::ResetUniform { i }, |m, r| m.row_reset_uniform(r));
     }
@@ -1154,60 +1123,94 @@ mod tests {
     // ---- banded-specific behavior ----
 
     #[test]
+    fn untouched_rows_read_uniform_and_densify_once_at_their_window() {
+        let mut w = PreferenceMap::new(2, 2, 8);
+        let per = 1.0 / 16.0;
+        for t in 0..8 {
+            assert_eq!(w.get(i(0), c(1), t), per);
+            assert_eq!(w.time_weight(i(0), t), 2.0 * per);
+        }
+        assert_eq!(w.preferred_time(i(0)), Cycle::ZERO);
+        // A window and a normalize write no cell: row 0 stays
+        // untouched, uniform over its window.
+        w.set_window(i(0), 3, 5);
+        w.normalize_all();
+        assert_eq!(w.counter_totals().band_densifications, 0);
+        assert_eq!(w.get(i(0), c(0), 2), 0.0);
+        assert_eq!(w.get(i(0), c(0), 3), 1.0 / 6.0);
+        assert_eq!(w.time_weight(i(0), 6), 0.0);
+        assert_eq!(w.preferred_time(i(0)), Cycle::new(3));
+        w.assert_invariants(1e-12);
+        // The first cell write densifies it at that window, once.
+        w.scale(i(0), c(0), 4, 2.0);
+        assert_eq!(w.counter_totals().band_densifications, 1);
+        assert_eq!(w.get(i(0), c(0), 3), 1.0 / 6.0);
+        assert_eq!(w.get(i(0), c(0), 4), 2.0 / 6.0);
+        assert_eq!(w.get(i(0), c(0), 6), 0.0);
+        w.set_window(i(0), 4, 5);
+        w.reset_uniform(i(0));
+        assert_eq!(w.counter_totals().band_densifications, 1);
+        // Row 1's first cell write densifies it at its full window.
+        w.scale_time(i(1), 7, 2.0);
+        assert_eq!(w.counter_totals().band_densifications, 2);
+        assert_eq!(w.get(i(1), c(1), 7), 2.0 * per);
+        assert_eq!(w.get(i(1), c(1), 0), per);
+        w.normalize_all();
+        w.assert_invariants(1e-12);
+    }
+
+    #[test]
     fn band_anchors_at_window_and_shrinks() {
         let mut w = PreferenceMap::new(1, 2, 100);
         w.set_window(i(0), 10, 19);
-        // Still uniform: windowing alone allocates nothing.
-        assert_eq!(w.stored_cells(), 1);
-        assert_eq!(w.band(i(0)), (10, 19));
-        // A non-uniform write densifies the band at the window.
         w.scale(i(0), c(0), 12, 3.0);
-        assert_eq!(w.band(i(0)), (10, 19));
-        assert_eq!(w.stored_cells(), 2 * 10);
+        assert!((w.get(i(0), c(0), 12) - 0.015).abs() < 1e-15);
         // Window shrink compacts the band.
         w.set_window(i(0), 12, 15);
-        assert_eq!(w.band(i(0)), (12, 15));
-        assert_eq!(w.stored_cells(), 2 * 4);
+        assert_eq!(w.window(i(0)), (12, 15));
         w.normalize(i(0));
         w.assert_invariants(1e-9);
         assert_eq!(w.time_weight(i(0), 11), 0.0);
         assert!(w.time_weight(i(0), 12) > 0.0);
+        assert!(w.time_weight(i(0), 15) > 0.0);
+        assert_eq!(w.time_weight(i(0), 16), 0.0);
     }
 
     #[test]
-    fn out_of_band_write_grows_the_band() {
-        let mut w = PreferenceMap::new(1, 2, 100);
-        w.set_window(i(0), 40, 44);
-        w.scale(i(0), c(0), 41, 2.0); // densify: band = window
-        assert_eq!(w.band(i(0)), (40, 44));
-        // An absolute write far outside the band re-anchors it (with
-        // margin), bounded by [0, n_slots).
-        w.set(i(0), c(1), 60, 0.5);
-        let (lo, hi) = w.band(i(0));
-        assert!(lo <= 40 && hi >= 60, "band {lo}..{hi} must cover the write");
-        assert!((hi as usize) < 100);
-        assert_eq!(w.get(i(0), c(1), 60), 0.5);
-        // Reads beyond the band stay exactly zero.
-        assert_eq!(w.get(i(0), c(1), 99), 0.0);
-        assert_eq!(w.time_weight(i(0), 99), 0.0);
-        w.normalize(i(0));
-        w.assert_invariants(1e-9);
-        // Growing writes in both directions, clamped at the edges.
-        w.set(i(0), c(0), 0, 0.1);
-        w.set(i(0), c(0), 99, 0.1);
-        assert_eq!(w.band(i(0)), (0, 99));
-        w.normalize(i(0));
-        w.assert_invariants(1e-9);
+    #[should_panic(expected = "outside the window [3, 5]")]
+    fn nonzero_set_outside_the_window_panics() {
+        let mut w = PreferenceMap::new(1, 2, 10);
+        w.set_window(i(0), 3, 5);
+        w.set(i(0), c(1), 6, 0.5);
     }
 
     #[test]
-    fn reset_uniform_returns_to_closed_form() {
+    #[should_panic(expected = "outside the window [3, 5]")]
+    fn nonzero_add_outside_the_window_panics() {
+        let mut w = PreferenceMap::new(1, 2, 10);
+        w.set_window(i(0), 3, 5);
+        w.add(i(0), c(0), 2, 0.25);
+    }
+
+    #[test]
+    fn zero_write_outside_the_window_changes_nothing() {
+        let mut w = PreferenceMap::new(1, 2, 10);
+        w.set_window(i(0), 3, 5);
+        w.scale(i(0), c(0), 4, 3.0);
+        let before = w.clone();
+        w.set(i(0), c(1), 7, 0.0);
+        w.add(i(0), c(0), 0, -0.5);
+        assert_maps_identical(&before, &w);
+    }
+
+    #[test]
+    fn reset_uniform_refills_the_band_in_place() {
         let mut w = PreferenceMap::new(1, 2, 50);
         w.set_window(i(0), 5, 9);
         w.scale(i(0), c(0), 6, 4.0);
-        assert!(w.stored_cells() > 1);
         w.reset_uniform(i(0));
-        assert_eq!(w.stored_cells(), 1);
+        assert_eq!(w.window(i(0)), (5, 9));
+        assert_eq!(w.counter_totals().band_densifications, 1);
         w.assert_invariants(1e-12);
         assert_eq!(w.get(i(0), c(0), 6), 1.0 / 10.0);
         assert_eq!(w.get(i(0), c(0), 4), 0.0);

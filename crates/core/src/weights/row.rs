@@ -1,12 +1,23 @@
 //! The preference map's rows: banded storage and every per-row
 //! operation.
 //!
-//! Each row is either [`Row::Uniform`] — a closed form for the state
-//! every instruction starts in and returns to after `reset_uniform`,
-//! costing O(1) storage — or a [`Band`]: `n_clusters × width` cells
-//! anchored at `lo`. Reads outside the band return exactly `0.0`;
-//! absolute writes outside it grow the band (with an amortized margin,
-//! clamped to `[0, n_slots)`); `set_window` shrinks it.
+//! A row's band is its feasible window. A [`Row::Band`] stores exactly
+//! the `n_clusters × width` cells of `window[r] = [lo, hi]`
+//! (`width = hi − lo + 1`) and keeps no extent of its own. Reads
+//! outside the window return exactly `0.0`; a nonzero absolute write
+//! there panics (the `CS060` rule every builtin pass proves
+//! statically), a zero one is a no-op; `set_window` shrinks the band
+//! with the window.
+//!
+//! A row is [`Row::Untouched`] only until the first operation that
+//! writes a cell or a feasibility flag: untouched, every cluster is
+//! live and every cell of its window holds the map-wide `1/(C·n_slots)`,
+//! so reads answer it in closed form, and `set_window` and `normalize`
+//! keep it so. That first write densifies it at its window;
+//! `reset_uniform` refills the band in place. Densifying later, not at
+//! INITTIME's `set_window`, is measured: densifying every row there
+//! made `paper-suites` about 4% slower end to end, at the same
+//! densification count.
 //!
 //! Every per-row operation is written once, here, as a
 //! [`PreferenceMap`] method taking a row index; the public entry points
@@ -15,268 +26,98 @@
 //! `n_clusters × n_slots` row per instruction under identical op
 //! histories — the *dense reference*, kept as the test model in
 //! `crates/core/tests/support/reference_map.rs`: the dense row is zero
-//! outside the band, `x + 0.0 == x` for the non-negative raw weights,
+//! outside the window, `x + 0.0 == x` for the non-negative raw weights,
 //! and all marginal summations here visit cells in the same order the
 //! dense loops do, so skipping the zeros changes no partial sum.
 
 use convergent_ir::ClusterId;
 
 use super::{PreferenceMap, EPS, SCALE_FOLD_MAX, SCALE_FOLD_MIN};
-use crate::telemetry::BandStats;
-
-/// A dense block of `n_clusters × width` raw cells anchored at `lo`.
-///
-/// Cells and the per-slot time marginals live in **one** allocation:
-/// rows densify by the thousand under NOISE, so halving the malloc
-/// traffic (and keeping each row's marginals on the same cache lines
-/// as its cells) is a measurable win on the compile-time profile.
-#[derive(Clone, Debug)]
-pub(super) struct Band {
-    lo: u32,
-    /// Band width in slots; `buf` holds `(n_clusters + 1) · width`.
-    width: u32,
-    /// Cluster-major cells — `(c, t)` lives at `c·width + (t − lo)` —
-    /// followed by the `width` raw time marginals for the band slots.
-    buf: Vec<f64>,
-}
-
-impl Band {
-    /// The band form of a uniform row with raw cells `per` on the live
-    /// clusters (nonzero `sums`) and raw time marginals `tsum`,
-    /// anchored at `window`.
-    fn uniform(per: f64, tsum: f64, window: (u32, u32), sums: &[f64]) -> Band {
-        let (lo, hi) = window;
-        let width = (hi - lo + 1) as usize;
-        // One allocation, one pass: each region is written exactly
-        // once (no zero-prefill of cells that get overwritten).
-        let mut buf = Vec::with_capacity((sums.len() + 1) * width);
-        for &cs in sums {
-            let n = buf.len() + width;
-            buf.resize(n, if cs != 0.0 { per } else { 0.0 });
-        }
-        let n = buf.len() + width;
-        buf.resize(n, tsum);
-        Band {
-            lo,
-            width: width as u32,
-            buf,
-        }
-    }
-
-    #[inline]
-    fn width(&self) -> usize {
-        self.width as usize
-    }
-
-    #[inline]
-    fn hi(&self) -> u32 {
-        self.lo + self.width - 1
-    }
-
-    #[inline]
-    fn contains(&self, t: u32) -> bool {
-        t >= self.lo && t <= self.hi()
-    }
-
-    /// The `n_clusters · width` cluster-major cells.
-    #[inline]
-    fn w(&self) -> &[f64] {
-        &self.buf[..self.buf.len() - self.width as usize]
-    }
-
-    /// The `width` raw time marginals.
-    #[inline]
-    fn tsum(&self) -> &[f64] {
-        let n = self.buf.len() - self.width as usize;
-        &self.buf[n..]
-    }
-
-    /// The raw time marginal of any slot (exact zero outside the band).
-    fn raw_time(&self, t: usize) -> f64 {
-        if self.contains(t as u32) {
-            self.tsum()[t - self.lo as usize]
-        } else {
-            0.0
-        }
-    }
-
-    /// Mutable cells and time marginals, split out of the shared
-    /// buffer.
-    #[inline]
-    fn parts_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        let n = self.buf.len() - self.width as usize;
-        self.buf.split_at_mut(n)
-    }
-
-    /// Grows the band to cover slot `t`, padding new cells with exact
-    /// zeros. The growing side gets a margin of the current width
-    /// (clamped to `[0, n_slots)`) so `k` consecutive out-of-band
-    /// writes reallocate O(log k) times, not k. Returns whether the
-    /// band actually grew — the telemetry band-event counter keys off
-    /// it.
-    fn grow(&mut self, n_clusters: usize, n_slots: usize, t: usize) -> bool {
-        let width = self.width();
-        let cur_lo = self.lo as usize;
-        let cur_hi = cur_lo + width - 1;
-        if (cur_lo..=cur_hi).contains(&t) {
-            return false;
-        }
-        let new_lo = if t < cur_lo {
-            t.saturating_sub(width)
-        } else {
-            cur_lo
-        };
-        let new_hi = if t > cur_hi {
-            (t + width).min(n_slots - 1)
-        } else {
-            cur_hi
-        };
-        let new_w = new_hi - new_lo + 1;
-        let off = cur_lo - new_lo;
-        let mut buf = vec![0.0; (n_clusters + 1) * new_w];
-        // Region `n_clusters` is the time marginals.
-        for c in 0..=n_clusters {
-            buf[c * new_w + off..c * new_w + off + width]
-                .copy_from_slice(&self.buf[c * width..(c + 1) * width]);
-        }
-        self.lo = new_lo as u32;
-        self.width = new_w as u32;
-        self.buf = buf;
-        true
-    }
-
-    /// Shrinks the band to exactly `[lo, hi]` (which it always covers —
-    /// densification anchors at the window and growth only widens), in
-    /// place, returning whether any discarded cell was nonzero.
-    fn shrink(&mut self, n_clusters: usize, lo: u32, hi: u32) -> bool {
-        let bw = self.width();
-        debug_assert!(self.lo <= lo && hi <= self.hi());
-        if self.lo == lo && self.hi() == hi {
-            return false;
-        }
-        let shift = (lo - self.lo) as usize;
-        let new_w = (hi - lo + 1) as usize;
-        let w = self.w();
-        let any_removed = (0..n_clusters)
-            .any(|c| (0..bw).any(|k| (k < shift || k >= shift + new_w) && w[c * bw + k] != 0.0));
-        // Compact ascending: region c's destination `c·new_w` never
-        // overruns region c+1's source `(c+1)·bw + shift` (the time
-        // marginals are region `n_clusters` of the shared buffer).
-        for c in 0..=n_clusters {
-            self.buf
-                .copy_within(c * bw + shift..c * bw + shift + new_w, c * new_w);
-        }
-        self.buf.truncate((n_clusters + 1) * new_w);
-        self.lo = lo;
-        self.width = new_w as u32;
-        any_removed
-    }
-}
+use crate::telemetry::MapCounters;
 
 /// One instruction's raw weights.
 #[derive(Clone, Debug)]
 pub(super) enum Row {
-    /// Every live cell inside the window holds `per`; the raw time
-    /// marginal is `tsum` on every window slot and `0` elsewhere. A
-    /// cluster is live iff its raw cluster marginal is nonzero
-    /// (`cluster_ok` is *not* consulted: `forbid_cluster` flips the
-    /// flag before squashing the weights, so the flag can be ahead of
-    /// the cell state).
-    Uniform {
-        per: f64,
-        tsum: f64,
-    },
-    Band(Band),
+    /// No cell written since `PreferenceMap::new`: every cluster live
+    /// and [`uniform_cell`] in every cell of the window.
+    Untouched,
+    /// The window's cluster-major cells — `(c, t)` at
+    /// `c·width + (t − lo)` — followed by its `width` raw time
+    /// marginals, in one allocation of `(n_clusters + 1) · width`.
+    Band(Vec<f64>),
 }
 
-impl Row {
-    /// Raw `f64` weight cells stored: one for a uniform row,
-    /// `n_clusters × width` for a band.
-    pub(super) fn stored_cells(&self) -> usize {
-        match self {
-            Row::Uniform { .. } => 1,
-            Row::Band(b) => b.w().len(),
-        }
-    }
-}
-
-/// Converts a `Uniform` row into an equivalent `Band` anchored at the
-/// window (cells and marginals keep their exact bits) and returns the
-/// band; bands are returned as they are.
+/// The raw cell of an untouched row on an `n_clusters × n_slots` map.
 #[inline]
+pub(super) fn uniform_cell(n_clusters: usize, n_slots: usize) -> f64 {
+    1.0 / (n_clusters * n_slots) as f64
+}
+
+/// The number of slots in `window`.
+#[inline(always)]
+fn width((lo, hi): (u32, u32)) -> usize {
+    (hi - lo + 1) as usize
+}
+
+/// A band buffer's cells and time marginals, split apart.
+#[inline(always)]
+fn split_mut(buf: &mut [f64], width: usize) -> (&mut [f64], &mut [f64]) {
+    let n = buf.len() - width;
+    buf.split_at_mut(n)
+}
+
+/// `row`'s band, densifying an untouched row at `window` first (cells
+/// and time marginals keep the closed form's exact bits).
+#[inline(always)]
 fn densify<'r>(
     row: &'r mut Row,
     window: (u32, u32),
-    sums: &[f64],
-    stats: &mut BandStats,
-) -> &'r mut Band {
-    if let Row::Uniform { per, tsum } = *row {
-        *row = Row::Band(Band::uniform(per, tsum, window, sums));
-        stats.densified();
+    n_clusters: usize,
+    n_slots: usize,
+    counters: &mut MapCounters,
+) -> &'r mut Vec<f64> {
+    let width = width(window);
+    if let Row::Untouched = row {
+        let per = uniform_cell(n_clusters, n_slots);
+        // One allocation, each region written exactly once.
+        let mut buf = Vec::with_capacity((n_clusters + 1) * width);
+        buf.resize(n_clusters * width, per);
+        buf.resize((n_clusters + 1) * width, per * n_clusters as f64);
+        *row = Row::Band(buf);
+        counters.densified();
     }
     match row {
-        Row::Band(b) => b,
-        Row::Uniform { .. } => unreachable!("densify leaves a band"),
+        Row::Band(buf) => buf,
+        Row::Untouched => unreachable!("densify leaves a band"),
     }
 }
 
-/// A fresh `preferred_time` scan of `row` under window `window` and
-/// pending scale `s`, computing exactly what the dense reference's
-/// full-slot scan would (see the comments inline). Ties go to the
-/// earliest slot.
-///
-/// The exact scan over a band is [`band_chain`], one dependent
-/// compare chain. [`isolated_leader`] answers first, without the
-/// chain, and it is exact: it answers only when one candidate's scaled
-/// marginal `m` clears every other by more than `4·EPS + m·1e-14`,
-/// which covers the `EPS` tie band plus every rounding in the chain's
-/// `bestv·s + EPS`, and when `m ≥ 0`, so the exactly-zero slots past
-/// the band cannot take over. The chain must then end on that
-/// candidate; near ties it runs as before. Nothing is cached, so the
-/// answer depends only on the row. In debug builds both run and must
-/// agree, which makes every debug test run a differential.
-#[inline(always)]
-pub(super) fn scan_top_time(row: &Row, window: (u32, u32), s: f64, n_slots: usize) -> u32 {
-    let best = match row {
-        Row::Uniform { tsum, .. } => {
-            let (lo, hi) = window;
-            let v = *tsum;
-            if lo > 0 {
-                // Slot 0 (zero) leads; the first window slot
-                // takes over iff it clears the tie band, and
-                // later window slots only tie it.
-                if v * s > EPS {
-                    lo as usize
-                } else {
-                    0
-                }
-            } else if (hi as usize) + 1 < n_slots && 0.0 > v * s + EPS {
-                // A (numerically) negative marginal hands the
-                // lead to the first exactly-zero slot past the
-                // window, as the dense scan would.
-                hi as usize + 1
-            } else {
-                0
-            }
-        }
-        Row::Band(b) => match isolated_leader(b, s) {
-            Some(t) => {
-                debug_assert_eq!(t, band_chain(b, s, n_slots), "isolated-max fast path");
-                t
-            }
-            None => band_chain(b, s, n_slots),
-        },
-    };
-    best as u32
+/// Shrinks a band from window `old` to the sub-window `new`, in place,
+/// returning whether any discarded cell was nonzero.
+fn shrink(buf: &mut Vec<f64>, n_clusters: usize, old: (u32, u32), new: (u32, u32)) -> bool {
+    if old == new {
+        return false;
+    }
+    let (bw, new_w) = (width(old), width(new));
+    let shift = (new.0 - old.0) as usize;
+    let any_removed = (0..n_clusters)
+        .any(|c| (0..bw).any(|k| (k < shift || k >= shift + new_w) && buf[c * bw + k] != 0.0));
+    // Compact ascending: region c's destination `c·new_w` never
+    // overruns region c+1's source `(c+1)·bw + shift` (the time
+    // marginals are region `n_clusters` of the shared buffer).
+    for c in 0..=n_clusters {
+        buf.copy_within(c * bw + shift..c * bw + shift + new_w, c * new_w);
+    }
+    buf.truncate((n_clusters + 1) * new_w);
+    any_removed
 }
 
-/// The exact `preferred_time` scan of a band: slot 0 leads at first
-/// (its marginal if the band starts there, else an exact zero), and a
-/// later slot takes over only when `v·s > bestv·s + EPS`.
+/// The exact `preferred_time` scan of a band's time marginals `tsum`
+/// starting at slot `lo`: slot 0 leads at first (its marginal if the
+/// band starts there, else an exact zero), and a later slot takes over
+/// only when `v·s > bestv·s + EPS`.
 #[inline(always)]
-fn band_chain(b: &Band, s: f64, n_slots: usize) -> usize {
-    let lo = b.lo as usize;
-    let tsum = b.tsum();
+fn band_chain(tsum: &[f64], lo: usize, s: f64, n_slots: usize) -> usize {
     let mut best = 0usize;
     let mut bestv = if lo == 0 { tsum[0] } else { 0.0 };
     for (k, &v) in tsum.iter().enumerate() {
@@ -291,7 +132,7 @@ fn band_chain(b: &Band, s: f64, n_slots: usize) -> usize {
     }
     // Dense also scans the exactly-zero slots past the
     // band; they win only over a negative leader.
-    let after = lo + b.width();
+    let after = lo + tsum.len();
     if after < n_slots && 0.0 > bestv * s + EPS {
         best = after;
     }
@@ -320,9 +161,7 @@ fn band_chain(b: &Band, s: f64, n_slots: usize) -> usize {
 /// A NaN slot-0 marginal keeps `m` NaN and declines; a NaN band slot
 /// is neither counted here nor ever taken by the chain.
 #[inline(always)]
-fn isolated_leader(b: &Band, s: f64) -> Option<usize> {
-    let lo = b.lo as usize;
-    let tsum = b.tsum();
+fn isolated_leader(tsum: &[f64], lo: usize, s: f64) -> Option<usize> {
     let slot0 = if lo == 0 { tsum[0] * s } else { 0.0 };
     // Four independent lanes break the dependency on one running max.
     let mut lanes = [slot0; 4];
@@ -357,6 +196,56 @@ fn isolated_leader(b: &Band, s: f64) -> Option<usize> {
 
 /// The per-row reads.
 impl PreferenceMap {
+    /// Row `r`'s preferred time: a fresh scan under its pending scale
+    /// `s`, computing exactly what the dense reference's full-slot scan
+    /// would (see the comments inline). Ties go to the earliest slot.
+    ///
+    /// The exact scan over a band is [`band_chain`], one dependent
+    /// compare chain. [`isolated_leader`] answers first, without the
+    /// chain, and it is exact: it answers only when one candidate's
+    /// scaled marginal `m` clears every other by more than
+    /// `4·EPS + m·1e-14`, which covers the `EPS` tie band plus every
+    /// rounding in the chain's `bestv·s + EPS`, and when `m ≥ 0`, so
+    /// the exactly-zero slots past the band cannot take over. The chain
+    /// must then end on that candidate; near ties it runs as before.
+    /// Nothing is cached, so the answer depends only on the row. In
+    /// debug builds both run and must agree, which makes every debug
+    /// test run a differential.
+    #[inline(always)]
+    pub(super) fn top_time(&self, r: usize) -> u32 {
+        let ((lo, hi), s, nc) = (self.window[r], self.scale[r], self.n_clusters);
+        let Row::Band(buf) = &self.rows[r] else {
+            // Equal positive marginals over the window: its first slot,
+            // unless it only ties slot 0's exact zero.
+            let v = uniform_cell(nc, self.n_slots) * nc as f64;
+            return if lo > 0 && v * s > EPS { lo } else { 0 };
+        };
+        let tsum = &buf[nc * width((lo, hi))..];
+        let lo = lo as usize;
+        let best = match isolated_leader(tsum, lo, s) {
+            Some(t) => {
+                debug_assert_eq!(
+                    t,
+                    band_chain(tsum, lo, s, self.n_slots),
+                    "isolated-max fast path"
+                );
+                t
+            }
+            None => band_chain(tsum, lo, s, self.n_slots),
+        };
+        best as u32
+    }
+
+    /// Whether row `r` is untouched or its band holds exactly
+    /// `(n_clusters + 1) · width` cells for its window — the row
+    /// invariant, checked after every op in debug builds.
+    pub(super) fn band_fits_window(&self, r: usize) -> bool {
+        match &self.rows[r] {
+            Row::Untouched => true,
+            Row::Band(buf) => buf.len() == (self.n_clusters + 1) * width(self.window[r]),
+        }
+    }
+
     /// Row `r`'s raw cluster marginals.
     #[inline]
     fn sums(&self, r: usize) -> &[f64] {
@@ -368,44 +257,28 @@ impl PreferenceMap {
     #[inline(always)]
     pub(super) fn raw(&self, r: usize, c: usize, t: usize) -> f64 {
         debug_assert!(c < self.n_clusters && t < self.n_slots);
+        let (lo, hi) = self.window[r];
+        if !(lo..=hi).contains(&(t as u32)) {
+            return 0.0;
+        }
         match &self.rows[r] {
-            Row::Uniform { per, .. } => {
-                let (lo, hi) = self.window[r];
-                if (t as u32) >= lo && (t as u32) <= hi && self.sums(r)[c] != 0.0 {
-                    *per
-                } else {
-                    0.0
-                }
-            }
-            Row::Band(b) if b.contains(t as u32) => b.w()[c * b.width() + (t - b.lo as usize)],
-            Row::Band(_) => 0.0,
+            Row::Untouched => uniform_cell(self.n_clusters, self.n_slots),
+            Row::Band(buf) => buf[c * width((lo, hi)) + (t - lo as usize)],
         }
     }
 
     /// The raw time marginal — exactly the dense reference's
-    /// `time_sum[t]` (zero outside the band, proven by the band
-    /// invariant).
+    /// `time_sum[t]` (zero outside the window).
     #[inline]
     pub(super) fn raw_time(&self, r: usize, t: usize) -> f64 {
-        match &self.rows[r] {
-            Row::Uniform { tsum, .. } => {
-                let (lo, hi) = self.window[r];
-                if (t as u32) >= lo && (t as u32) <= hi {
-                    *tsum
-                } else {
-                    0.0
-                }
-            }
-            Row::Band(b) => b.raw_time(t),
+        let (lo, hi) = self.window[r];
+        if !(lo..=hi).contains(&(t as u32)) {
+            return 0.0;
         }
-    }
-
-    /// The current band extent (equals the window for rows still in
-    /// uniform closed form).
-    pub(super) fn row_band(&self, r: usize) -> (u32, u32) {
+        let nc = self.n_clusters;
         match &self.rows[r] {
-            Row::Uniform { .. } => self.window[r],
-            Row::Band(b) => (b.lo, b.hi()),
+            Row::Untouched => uniform_cell(nc, self.n_slots) * nc as f64,
+            Row::Band(buf) => buf[nc * width((lo, hi)) + (t - lo as usize)],
         }
     }
 
@@ -450,33 +323,42 @@ impl PreferenceMap {
 /// operations, which log their per-cell decomposition instead) does.
 /// Each body is always inlined into its public entry point.
 impl PreferenceMap {
-    /// Stores raw value `raw` at `(r, c, t)`, `delta` away from the old
-    /// value, growing the band if `t` lies outside it.
+    /// Row `r`'s band, densified at its window if untouched.
     #[inline(always)]
-    fn write_cell(&mut self, r: usize, c: usize, t: usize, raw: f64, delta: f64) {
-        let nc = self.n_clusters;
-        let base = r * nc;
-        let b = densify(
+    fn band_mut(&mut self, r: usize) -> &mut Vec<f64> {
+        densify(
             &mut self.rows[r],
             self.window[r],
-            &self.cluster_sum[base..base + nc],
-            &mut self.stats,
-        );
-        if b.grow(nc, self.n_slots, t) {
-            self.stats.grew();
-        }
-        let width = b.width();
-        let off = t - b.lo as usize;
-        let (w, ts) = b.parts_mut();
+            self.n_clusters,
+            self.n_slots,
+            &mut self.counters,
+        )
+    }
+
+    /// Stores raw value `raw` at in-window `(r, c, t)`, `delta` away
+    /// from the old value.
+    #[inline(always)]
+    fn write_cell(&mut self, r: usize, c: usize, t: usize, raw: f64, delta: f64) {
+        let (lo, hi) = self.window[r];
+        let (width, off) = (width((lo, hi)), t - lo as usize);
+        let (w, ts) = split_mut(self.band_mut(r), width);
         w[c * width + off] = raw;
         ts[off] += delta;
-        self.cluster_sum[base + c] += delta;
+        self.cluster_sum[r * self.n_clusters + c] += delta;
         self.total[r] += delta;
     }
 
     #[inline(always)]
     pub(super) fn row_set(&mut self, r: usize, c: ClusterId, t: u32, value: f64) {
         assert!(value.is_finite() && value >= 0.0, "weights are ≥ 0");
+        let (lo, hi) = self.window[r];
+        if !(lo..=hi).contains(&t) {
+            assert!(
+                value == 0.0,
+                "write of {value} to W[i{r}, {c}, t{t}] outside the window [{lo}, {hi}]"
+            );
+            return; // the cell is already zero
+        }
         let (c, t) = (c.index(), t as usize);
         let raw = value / self.scale[r];
         let delta = raw - self.raw(r, c, t);
@@ -491,9 +373,7 @@ impl PreferenceMap {
         let (c, t) = (c.index(), t as usize);
         let old = self.raw(r, c, t);
         let new = old * factor;
-        // `delta ≠ 0` implies the cell is nonzero, hence in the band
-        // (or in a live uniform window, which densify anchors over), so
-        // the write never grows the band.
+        // `delta ≠ 0` implies the cell is nonzero, hence in the window.
         let delta = new - old;
         if delta != 0.0 {
             self.write_cell(r, c, t, new, delta);
@@ -516,33 +396,11 @@ impl PreferenceMap {
     /// caller; returns whether anything changed.
     #[inline(always)]
     fn scale_cluster_cells(&mut self, r: usize, c: usize, factor: f64) -> bool {
-        let nc = self.n_clusters;
-        let base = r * nc;
-        if let Row::Uniform { per, tsum } = &mut self.rows[r] {
-            if factor == 1.0 || *per == 0.0 || self.cluster_sum[base + c] == 0.0 {
-                // The dense loop would find every cell unchanged.
-                return false;
-            }
-            if factor == 0.0 {
-                // The cluster goes dead; the row stays uniform. The
-                // per-slot delta the dense loop applies is the same on
-                // every window slot, so one shared marginal suffices.
-                *tsum += 0.0 - *per;
-                self.cluster_sum[base + c] = 0.0;
-                return true;
-            }
-        }
-        let b = densify(
-            &mut self.rows[r],
-            self.window[r],
-            &self.cluster_sum[base..base + nc],
-            &mut self.stats,
-        );
-        let bw = b.width();
-        let (w, ts) = b.parts_mut();
+        let width = width(self.window[r]);
+        let (w, ts) = split_mut(self.band_mut(r), width);
         let mut new_sum = 0.0;
         let mut changed = false;
-        for (cell, ts) in w[c * bw..(c + 1) * bw].iter_mut().zip(ts.iter_mut()) {
+        for (cell, ts) in w[c * width..(c + 1) * width].iter_mut().zip(ts) {
             let old = *cell;
             let new = old * factor;
             if new != old {
@@ -553,7 +411,7 @@ impl PreferenceMap {
             new_sum += new;
         }
         if changed {
-            self.cluster_sum[base + c] = new_sum;
+            self.cluster_sum[r * self.n_clusters + c] = new_sum;
         }
         changed
     }
@@ -586,32 +444,25 @@ impl PreferenceMap {
     #[inline(always)]
     pub(super) fn row_scale_time(&mut self, r: usize, t: u32, factor: f64) {
         assert!(factor.is_finite() && factor >= 0.0, "factors are ≥ 0");
-        let tt = t as usize;
-        debug_assert!(tt < self.n_slots);
-        let nc = self.n_clusters;
-        let base = r * nc;
-        if let Row::Uniform { per, .. } = &self.rows[r] {
-            let (lo, hi) = self.window[r];
-            let any_live = self.cluster_sum[base..base + nc].iter().any(|&v| v != 0.0);
-            if factor == 1.0 || *per == 0.0 || !any_live || (t < lo || t > hi) {
-                return; // dense: every cell at `t` unchanged
-            }
-        }
-        let b = densify(
-            &mut self.rows[r],
-            self.window[r],
-            &self.cluster_sum[base..base + nc],
-            &mut self.stats,
-        );
-        if !b.contains(t) {
+        debug_assert!((t as usize) < self.n_slots);
+        let (lo, hi) = self.window[r];
+        if !(lo..=hi).contains(&t) {
             return; // all cells at `t` are zero
         }
-        let width = b.width();
-        let off = tt - b.lo as usize;
-        let old_sum = b.tsum()[off];
+        let nc = self.n_clusters;
+        let base = r * nc;
+        let (width, off) = (width((lo, hi)), (t - lo) as usize);
+        let buf = densify(
+            &mut self.rows[r],
+            (lo, hi),
+            nc,
+            self.n_slots,
+            &mut self.counters,
+        );
+        let (w, ts) = split_mut(buf, width);
+        let old_sum = ts[off];
         let mut new_sum = 0.0;
         let mut changed = false;
-        let (w, ts) = b.parts_mut();
         for c in 0..nc {
             let old = w[c * width + off];
             let new = old * factor;
@@ -633,44 +484,42 @@ impl PreferenceMap {
     pub(super) fn row_set_window(&mut self, r: usize, lo: u32, hi: u32) {
         assert!(lo <= hi, "window must be non-empty");
         assert!((hi as usize) < self.n_slots, "window exceeds time slots");
-        let (old_lo, old_hi) = self.window[r];
-        let lo = lo.max(old_lo);
-        let hi = hi.min(old_hi);
-        assert!(lo <= hi, "window must be non-empty");
-        self.window[r] = (lo, hi);
+        let old = self.window[r];
+        let new = (lo.max(old.0), hi.min(old.1));
+        assert!(new.0 <= new.1, "window must be non-empty");
+        self.window[r] = new;
         let nc = self.n_clusters;
         let sums = &mut self.cluster_sum[r * nc..(r + 1) * nc];
-        let any_removed = match &mut self.rows[r] {
-            Row::Uniform { per, .. } => {
-                let removed_slots = (old_hi - old_lo) != (hi - lo);
-                removed_slots && *per != 0.0 && sums.iter().any(|&v| v != 0.0)
-            }
-            Row::Band(b) => b.shrink(nc, lo, hi),
-        };
-        if !any_removed {
-            return;
-        }
-        // Rebuild each cluster marginal from the surviving cells in
-        // ascending `t` order, exactly as the dense reference does (its
-        // zeroed out-of-window cells contribute nothing bitwise).
-        match &self.rows[r] {
-            Row::Uniform { per, .. } => {
-                let mut live_sum = 0.0;
-                for _ in lo..=hi {
-                    live_sum += *per;
+        match &mut self.rows[r] {
+            Row::Band(buf) => {
+                if !shrink(buf, nc, old, new) {
+                    return;
                 }
-                for cs in sums.iter_mut().filter(|cs| **cs != 0.0) {
-                    *cs = live_sum;
-                }
-            }
-            Row::Band(b) => {
-                for (cs, cells) in sums.iter_mut().zip(b.w().chunks_exact(b.width())) {
+                // Rebuild each cluster marginal from the surviving cells
+                // in ascending `t` order, exactly as the dense reference
+                // does (its zeroed out-of-window cells contribute
+                // nothing bitwise).
+                for (cs, cells) in sums.iter_mut().zip(buf.chunks_exact(width(new))) {
                     let mut sum = 0.0;
                     for &v in cells {
                         sum += v;
                     }
                     *cs = sum;
                 }
+            }
+            // The row stays untouched over the new window.
+            Row::Untouched => {
+                if new == old {
+                    return;
+                }
+                // Every cell is the same uniform value, so each
+                // cluster's ascending rebuild is this one sum.
+                let per = uniform_cell(nc, self.n_slots);
+                let mut live = 0.0;
+                for _ in 0..width(new) {
+                    live += per;
+                }
+                sums.fill(live);
             }
         }
         self.total[r] = sums.iter().sum();
@@ -702,18 +551,10 @@ impl PreferenceMap {
         if s == 1.0 {
             return;
         }
-        match &mut self.rows[r] {
-            Row::Uniform { per, tsum } => {
-                *per *= s;
-                *tsum *= s;
-            }
-            Row::Band(b) => {
-                // Cells and time marginals share the buffer; one sweep
-                // scales both, in the same per-element arithmetic.
-                for v in &mut b.buf {
-                    *v *= s;
-                }
-            }
+        // Cells and time marginals share the buffer; one sweep scales
+        // both, in the same per-element arithmetic.
+        for v in self.band_mut(r).iter_mut() {
+            *v *= s;
         }
         let nc = self.n_clusters;
         for cs in &mut self.cluster_sum[r * nc..(r + 1) * nc] {
@@ -725,7 +566,7 @@ impl PreferenceMap {
 
     #[inline(always)]
     pub(super) fn row_reset_uniform(&mut self, r: usize) {
-        let (lo, hi) = self.window[r];
+        let slots = width(self.window[r]);
         let nc = self.n_clusters;
         let ok = &self.cluster_ok[r * nc..(r + 1) * nc];
         let n_feasible = ok.iter().filter(|&&ok| ok).count();
@@ -733,7 +574,6 @@ impl PreferenceMap {
         // to all clusters rather than a degenerate all-zero row.
         let use_all = n_feasible == 0;
         let n_live = if use_all { nc } else { n_feasible };
-        let slots = (hi - lo + 1) as usize;
         let per = 1.0 / (n_live * slots) as f64;
         for (cs, &ok) in self.cluster_sum[r * nc..(r + 1) * nc].iter_mut().zip(ok) {
             *cs = if use_all || ok {
@@ -742,11 +582,19 @@ impl PreferenceMap {
                 0.0
             };
         }
-        // Back to the O(1) closed form — this also releases the band.
-        self.rows[r] = Row::Uniform {
-            per,
-            tsum: per * n_live as f64,
-        };
+        let buf = densify(
+            &mut self.rows[r],
+            self.window[r],
+            nc,
+            self.n_slots,
+            &mut self.counters,
+        );
+        let (w, ts) = split_mut(buf, slots);
+        let sums = &self.cluster_sum[r * nc..(r + 1) * nc];
+        for (cells, &cs) in w.chunks_exact_mut(slots).zip(sums) {
+            cells.fill(if cs != 0.0 { per } else { 0.0 });
+        }
+        ts.fill(per * n_live as f64);
         self.total[r] = 1.0;
         self.scale[r] = 1.0;
     }
@@ -763,8 +611,7 @@ impl PreferenceMap {
         );
         let nc = self.n_clusters;
         let base = r * nc;
-        let (lo, hi) = self.window[r];
-        let width = (hi - lo + 1) as usize;
+        let width = width(self.window[r]);
         let ok = &self.cluster_ok[base..base + nc];
         let n_feasible = ok.iter().filter(|&&ok| ok).count();
         assert_eq!(
@@ -773,32 +620,27 @@ impl PreferenceMap {
             "one draw per feasible cell"
         );
         let s = self.scale[r];
-        // Densify once up front: the first nonzero delta would force it
-        // anyway (draws are almost never all zero), and paying it here
-        // lets every cluster stream its full span with no per-cell
-        // repr re-match. Visible values are unchanged by the
-        // conversion, so the result stays bit-identical to the
-        // per-cell loop's.
+        // Stream each feasible cluster's cells with the marginals in
+        // locals (same accumulation order as the per-cell path, so the
+        // sums keep their exact bits).
         let sums = &mut self.cluster_sum[base..base + nc];
-        let b = densify(&mut self.rows[r], (lo, hi), sums, &mut self.stats);
-        // The band always covers the window, so in-window writes never
-        // grow it: stream straight over the flat cells with the
-        // marginals in locals (same accumulation order as the per-cell
-        // path, so the sums keep their exact bits).
-        let bw = b.width();
-        let lo_off = lo as usize - b.lo as usize;
-        let hi_off = hi as usize - b.lo as usize;
-        let (bcells, bts) = b.parts_mut();
+        let buf = densify(
+            &mut self.rows[r],
+            self.window[r],
+            nc,
+            self.n_slots,
+            &mut self.counters,
+        );
+        let (bcells, bts) = split_mut(buf, width);
         let mut feasible_draws = draws.chunks_exact(width);
         let mut tot = self.total[r];
         for (c, csum) in sums.iter_mut().enumerate() {
             if !ok[c] {
                 continue;
             }
-            let wrow = &mut bcells[c * bw + lo_off..=c * bw + hi_off];
-            let btsum = &mut bts[lo_off..=hi_off];
+            let wrow = &mut bcells[c * width..(c + 1) * width];
             let dspan = feasible_draws.next().expect("one draw per feasible cell");
-            for ((w, ts), &dr) in wrow.iter_mut().zip(btsum.iter_mut()).zip(dspan) {
+            for ((w, ts), &dr) in wrow.iter_mut().zip(bts.iter_mut()).zip(dspan) {
                 let raw_cur = *w;
                 let value = (raw_cur * s + amplitude * dr).max(0.0);
                 assert!(value.is_finite() && value >= 0.0, "weights are ≥ 0");
@@ -820,15 +662,6 @@ impl PreferenceMap {
 mod tests {
     use super::*;
 
-    /// A one-cluster band at `lo` whose time marginals are `tsum`.
-    fn band(lo: u32, tsum: &[f64]) -> Band {
-        Band {
-            lo,
-            width: tsum.len() as u32,
-            buf: [tsum, tsum].concat(),
-        }
-    }
-
     #[test]
     fn isolated_leader_engages_on_a_clear_maximum() {
         for lo in [0, 3] {
@@ -836,33 +669,39 @@ mod tests {
             for at in [0, 4, 8] {
                 let mut tsum = [0.1; 9];
                 tsum[at] = 0.6;
-                let b = band(lo, &tsum);
-                let want = lo as usize + at;
-                assert_eq!(isolated_leader(&b, 1.0), Some(want), "lo {lo}, at {at}");
-                assert_eq!(band_chain(&b, 1.0, 16), want);
+                let want = lo + at;
+                assert_eq!(
+                    isolated_leader(&tsum, lo, 1.0),
+                    Some(want),
+                    "lo {lo}, at {at}"
+                );
+                assert_eq!(band_chain(&tsum, lo, 1.0, 16), want);
             }
         }
         // A lone slot past 0 leads the implicit zero by more than the
         // margin.
-        assert_eq!(isolated_leader(&band(5, &[1e-9]), 1.0), Some(5));
+        assert_eq!(isolated_leader(&[1e-9], 5, 1.0), Some(5));
     }
 
     #[test]
     fn isolated_leader_declines_within_the_margin() {
         for gap in [0.0, EPS / 2.0, EPS, 2.0 * EPS, 4.0 * EPS] {
             for lo in [0, 3] {
-                let b = band(lo, &[0.1, 0.5 - gap, 0.5, 0.1]);
-                assert_eq!(isolated_leader(&b, 1.0), None, "gap {gap:e}, lo {lo}");
+                let tsum = [0.1, 0.5 - gap, 0.5, 0.1];
+                assert_eq!(
+                    isolated_leader(&tsum, lo, 1.0),
+                    None,
+                    "gap {gap:e}, lo {lo}"
+                );
                 // The chain still answers: a lead of more than `EPS`
                 // takes over, a smaller one leaves the earlier slot.
-                let want = lo as usize + if gap > EPS { 2 } else { 1 };
-                let row = Row::Band(b);
-                assert_eq!(scan_top_time(&row, (lo, lo + 3), 1.0, 16) as usize, want);
+                let want = lo + if gap > EPS { 2 } else { 1 };
+                assert_eq!(band_chain(&tsum, lo, 1.0, 16), want);
             }
         }
         // Within the margin of the implicit slot-0 zero.
-        assert_eq!(isolated_leader(&band(5, &[2.0 * EPS]), 1.0), None);
+        assert_eq!(isolated_leader(&[2.0 * EPS], 5, 1.0), None);
         // A NaN slot-0 marginal declines rather than guess.
-        assert_eq!(isolated_leader(&band(0, &[f64::NAN, 0.5]), 1.0), None);
+        assert_eq!(isolated_leader(&[f64::NAN, 0.5], 0, 1.0), None);
     }
 }

@@ -2,7 +2,8 @@
 //! verifies clean, and a deliberately misbehaving pass fixture exists
 //! for each `CS060`–`CS063` code. The fixtures have no effect summary,
 //! so production verification reports them `CS064` (unproven); the
-//! support recorder, which runs them, catches what each one does.
+//! support recorder, which runs them, catches what each one does, and
+//! the preference map itself refuses the `CS060` write.
 
 #[path = "support/contract_probes.rs"]
 mod contract_probes;
@@ -49,7 +50,7 @@ fn builtin_sequences_verify_clean_everywhere() {
 }
 
 /// Writes positive weight one slot past an instruction's feasible
-/// window — the CS060 violation.
+/// window — the CS060 violation, which the map refuses with a panic.
 struct OutOfWindowPass;
 
 impl Pass for OutOfWindowPass {
@@ -70,14 +71,12 @@ impl Pass for OutOfWindowPass {
 }
 
 #[test]
-fn out_of_window_write_is_flagged_cs060() {
-    let diags = check_on_probes(&OutOfWindowPass, &Machine::raw(4));
-    assert!(codes(&diags).contains(&Code::OutOfWindowWrite), "{diags:?}");
-    for d in &diags {
-        assert!(!d.instrs.is_empty(), "CS060 must name the instruction");
-        assert!(d.witness.is_some(), "CS060 must carry the offending op");
-    }
+fn out_of_window_write_is_unproven_and_panics() {
     assert_unproven(&OutOfWindowPass);
+    let run = std::panic::catch_unwind(|| check_on_probes(&OutOfWindowPass, &Machine::raw(4)));
+    let msg = run.expect_err("running the pass must panic");
+    let msg = msg.downcast_ref::<String>().expect("a formatted message");
+    assert!(msg.contains("outside the window"), "{msg}");
 }
 
 /// Scales by a process-global counter, so two identically seeded runs

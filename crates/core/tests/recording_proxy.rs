@@ -93,8 +93,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Applies `op`, skipping window proposals disjoint from the current
-/// window (which would panic by design).
+/// window and nonzero writes outside it (both panic by design).
 fn apply(w: &mut PreferenceMap, op: &Op) {
+    if let Op::Set { i, t, v: x, .. } | Op::Add { i, t, d: x, .. } = *op {
+        // Outside the window the old cell is zero: `add` writes `d⁺`.
+        let (lo, hi) = w.window(InstrId::new(i as u32));
+        if x > 0.0 && !(lo..=hi).contains(&(t as u32)) {
+            return;
+        }
+    }
     match *op {
         Op::Set { i, c, t, v } => w.set(
             InstrId::new(i as u32),

@@ -215,12 +215,18 @@ fn apply_reference(w: &mut PreferenceMap, op: &Op) {
 /// Shape ops shared verbatim by the bulk and reference sides.
 fn apply_shape(w: &mut PreferenceMap, op: &Op) {
     match *op {
-        Op::Set { i, c, t, v } => w.set(
-            InstrId::new(i as u32),
-            ClusterId::new(c as u16),
-            t as u32,
-            v,
-        ),
+        Op::Set { i, c, t, v } => {
+            // A nonzero write outside the window panics by design.
+            let (lo, hi) = w.window(InstrId::new(i as u32));
+            if v == 0.0 || (lo..=hi).contains(&(t as u32)) {
+                w.set(
+                    InstrId::new(i as u32),
+                    ClusterId::new(c as u16),
+                    t as u32,
+                    v,
+                );
+            }
+        }
         Op::SetWindow { i, lo, len } => {
             let id = InstrId::new(i as u32);
             let lo = lo as u32;

@@ -6,7 +6,9 @@
 //! must never produce a `CS06x` diagnostic here, on the two tiny probe
 //! graphs of [`probes`] or on any generated graph; and the opaque
 //! misbehaving fixtures, which the prover cannot decide, are caught
-//! here by what they actually do.
+//! here by what they actually do. The window clause (`CS060`) needs no
+//! log scan: the map itself panics on a nonzero write outside a
+//! window.
 //!
 //! Include it with `#[path = ".../support/contract_probes.rs"] mod
 //! contract_probes;` — it is shared by the core contract tests and the
@@ -34,8 +36,6 @@ const INVARIANT_TOL: f64 = 1e-6;
 struct RecordedRun {
     /// The primitive operations the pass performed.
     log: Vec<WeightOp>,
-    /// Feasible window per instruction at the moment the pass started.
-    windows_before: Vec<(u32, u32)>,
     /// The map after the pass ran and the driver normalized.
     weights: PreferenceMap,
 }
@@ -103,7 +103,6 @@ fn run_recorded(
         InitTime::new().run(&mut ctx);
         weights.normalize_all();
     }
-    let windows_before: Vec<(u32, u32)> = dag.ids().map(|i| weights.window(i)).collect();
     weights.record();
     let mut rng = Rng::seed_from_u64(PROBE_SEED);
     let mut ctx = PassContext {
@@ -117,11 +116,7 @@ fn run_recorded(
     pass.run(&mut ctx);
     let log = weights.take_recording();
     weights.normalize_all();
-    RecordedRun {
-        log,
-        windows_before,
-        weights,
-    }
+    RecordedRun { log, weights }
 }
 
 /// Checks every clause `pass` claims on every probe graph.
@@ -133,7 +128,8 @@ pub fn check_on_probes(pass: &dyn Pass, machine: &Machine) -> Vec<Diagnostic> {
 }
 
 /// Checks every clause `pass` claims on one graph, labelled `probe`:
-/// one `CS06x` diagnostic per violated clause.
+/// one `CS061`–`CS063` diagnostic per violated clause (a `CS060`
+/// violation panics inside the run).
 pub fn check_on_probe(
     pass: &dyn Pass,
     machine: &Machine,
@@ -144,38 +140,6 @@ pub fn check_on_probe(
     let name = pass.name();
     let mut diags = Vec::new();
     let run = run_recorded(pass, &contract, dag, machine);
-
-    if contract.window_respecting && !contract.establishes_windows {
-        let mut windows = run.windows_before.clone();
-        for op in &run.log {
-            match *op {
-                WeightOp::SetWindow { i, lo, hi } => {
-                    // Tightening is always legal (intersect
-                    // semantics); track it for later writes.
-                    let w = &mut windows[i.index()];
-                    w.0 = w.0.max(lo);
-                    w.1 = w.1.min(hi);
-                }
-                WeightOp::Set { i, c, t, value } if value > 0.0 => {
-                    let (lo, hi) = windows[i.index()];
-                    if t < lo || t > hi {
-                        diags.push(
-                            Diagnostic::new(
-                                Code::OutOfWindowWrite,
-                                vec![i],
-                                format!(
-                                    "pass {name} wrote W[{i},{c},t{t}] = {value} outside the feasible window [{lo}, {hi}] on probe `{probe}`"
-                                ),
-                            )
-                            .with_witness(format!("set({i}, {c}, {t}, {value})")),
-                        );
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
 
     if contract.preplacement_monotone {
         for op in &run.log {

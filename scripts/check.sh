@@ -102,7 +102,7 @@ step "lint smoke: 500 fuzz graphs (seed 0)"
 cargo run --release -q -p convergent-bench --bin fuzz -- --seed 0 --budget 500 --lint-only
 step "fuzz smoke (seed 0, 200 cases)"
 cargo run --release -q -p convergent-bench --bin fuzz -- --seed 0 --budget 200
-step "fuzz smoke, large deep-chain (band re-anchoring end to end)"
+step "fuzz smoke, large deep-chain (a 2 500-deep chain end to end)"
 cargo run --release -q -p convergent-bench --bin fuzz -- \
     --seed 1 --budget 2 --family deep-chain --size 2500 --machines raw4,vliw4
 step "fuzz smoke, wide layered on raw16 (LEVEL over 16 bins at width)"

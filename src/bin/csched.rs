@@ -49,6 +49,10 @@
 //! csched verify --workload mxm --json
 //! ```
 //!
+//! `--shards` and `--region-size` apply to `verify`'s convergent run.
+//! The schedule command's output options (`--dump`, `--dot`,
+//! `--pressure`, `--profile`, `--trace`) are rejected there.
+//!
 //! With `--json`, `verify` emits a machine-readable run report
 //! instead: lint diagnostics, per-scheduler referee results, and — for
 //! the convergent scheduler — the run's telemetry (hot-path counter
@@ -776,8 +780,17 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
 fn run_verify(args: &[String]) -> Result<(), String> {
     let explicit_scheduler = args.iter().any(|a| a == "--scheduler");
     let opts = parse_args(args)?;
-    if opts.trace.is_some() {
-        return Err("--trace applies to the schedule command, not verify".to_string());
+    let schedule_only = [
+        ("--trace", opts.trace.is_some()),
+        ("--profile", opts.profile),
+        ("--dump", opts.dump),
+        ("--dot", opts.dot),
+        ("--pressure", opts.pressure),
+    ];
+    if let Some((flag, _)) = schedule_only.iter().find(|&&(_, set)| set) {
+        return Err(format!(
+            "{flag} applies to the schedule command, not verify"
+        ));
     }
     let machine = parse_machine(&opts.machine)?;
 
@@ -834,16 +847,23 @@ fn run_verify(args: &[String]) -> Result<(), String> {
     let mut failures = 0usize;
     let mut targets_json: Vec<String> = Vec::new();
     for name in &names {
+        // `--shards` and `--region-size` reach the convergent run only
+        // (naming another scheduler with them is an error).
+        let (shards, region_size) = if name == "convergent" || explicit_scheduler {
+            (opts.shards, opts.region_size)
+        } else {
+            (1, None)
+        };
         // The convergent driver runs through the telemetry entry point
         // so the JSON report can embed counter totals and per-pass
         // convergence metrics; the referee verdicts join the totals.
         let mut buf = (opts.json && name == "convergent").then(TelemetryBuffer::new);
         let scheduled = if let Some(buf) = buf.as_mut() {
-            convergent_driver(&machine, 1, None)
+            convergent_driver(&machine, shards, region_size)
                 .schedule_with_sink(unit.dag(), &machine, buf)
                 .map(|out| out.into_schedule())
         } else {
-            make_scheduler(name, &machine, 1, None)?.schedule(unit.dag(), &machine)
+            make_scheduler(name, &machine, shards, region_size)?.schedule(unit.dag(), &machine)
         };
         let mut verdicts = CounterTotals::default();
         let mut cycles: Option<(u32, u32, u32)> = None;
