@@ -1,6 +1,7 @@
 //! LEVEL's working memory is linear in the graph: one distance row per
-//! cluster plus the any-bin row, the CSR adjacency, and a queue. A
-//! distance row per source instruction would be O(N²) on wide graphs.
+//! cluster plus the any-bin row, and a queue; its searches walk the
+//! graph's own adjacency. A distance row per source instruction would
+//! be O(N²) on wide graphs.
 //!
 //! The test binary counts live heap bytes with the benchmark's own
 //! counting allocator, so this file holds exactly one test: a second

@@ -110,7 +110,7 @@ impl LevelDistribute {
         &self,
         ctx: &mut PassContext<'_>,
         band: &[InstrId],
-        near: &mut BinDistances,
+        near: &mut BinDistances<'_>,
         rr: &mut usize,
     ) {
         let n_clusters = ctx.weights.n_clusters();
@@ -147,7 +147,7 @@ impl LevelDistribute {
         let any = n_clusters;
         let place = |ctx: &mut PassContext<'_>,
                      bins: &mut [Vec<InstrId>],
-                     near: &mut BinDistances,
+                     near: &mut BinDistances<'_>,
                      c: usize,
                      i: InstrId| {
             bins[c].push(i);
@@ -251,28 +251,19 @@ impl LevelDistribute {
 /// path has `row[u] ≥ row[v] − d(u, v) > d(x, v) − d(u, v) = d(x, u)`,
 /// so the search reaches `v` through improving vertices only.
 #[derive(Debug)]
-struct BinDistances {
-    /// Undirected adjacency in CSR form.
-    offsets: Vec<u32>,
-    neighbors: Vec<u32>,
+struct BinDistances<'a> {
+    /// The graph, walked undirected through [`Dag::neighbors`].
+    dag: &'a Dag,
     /// `rows × n` distances, row-major.
     dist: Vec<u32>,
-    queue: Vec<u32>,
+    queue: Vec<InstrId>,
 }
 
-impl BinDistances {
+impl<'a> BinDistances<'a> {
     /// One row per cluster plus the any-bin row, all unreachable.
-    fn new(dag: &Dag, n_clusters: usize) -> Self {
-        let mut offsets = Vec::with_capacity(dag.len() + 1);
-        let mut neighbors = Vec::with_capacity(2 * dag.edge_count());
-        offsets.push(0);
-        for i in dag.ids() {
-            neighbors.extend(dag.neighbors(i).map(InstrId::raw));
-            offsets.push(neighbors.len() as u32);
-        }
+    fn new(dag: &'a Dag, n_clusters: usize) -> Self {
         BinDistances {
-            offsets,
-            neighbors,
+            dag,
             dist: vec![UNREACHABLE; (n_clusters + 1) * dag.len()],
             queue: Vec::new(),
         }
@@ -280,7 +271,7 @@ impl BinDistances {
 
     /// Distance from `i` to row `c`'s set.
     fn get(&self, c: usize, i: InstrId) -> u32 {
-        self.dist[c * (self.offsets.len() - 1) + i.index()]
+        self.dist[c * self.dag.len() + i.index()]
     }
 
     /// Resets every row to the band's seed `bins` (and their union).
@@ -295,23 +286,22 @@ impl BinDistances {
     /// Adds `xs` to row `c`'s set: a multi-source BFS pruned to the
     /// vertices it brings closer.
     fn join(&mut self, c: usize, xs: impl IntoIterator<Item = InstrId>) {
-        let n = self.offsets.len() - 1;
+        let n = self.dag.len();
         let row = &mut self.dist[c * n..(c + 1) * n];
         self.queue.clear();
         for x in xs {
             if row[x.index()] > 0 {
                 row[x.index()] = 0;
-                self.queue.push(x.raw());
+                self.queue.push(x);
             }
         }
         let mut head = 0;
         while let Some(&u) = self.queue.get(head) {
             head += 1;
-            let d = row[u as usize] + 1;
-            let (lo, hi) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
-            for &v in &self.neighbors[lo as usize..hi as usize] {
-                if d < row[v as usize] {
-                    row[v as usize] = d;
+            let d = row[u.index()] + 1;
+            for v in self.dag.neighbors(u) {
+                if d < row[v.index()] {
+                    row[v.index()] = d;
                     self.queue.push(v);
                 }
             }

@@ -8,9 +8,7 @@
 //! `a`), so `b` may start no earlier than `a`'s issue time plus `a`'s
 //! latency.
 
-use std::collections::HashSet;
-
-use crate::{InstrId, Instruction, IrError, Opcode};
+use crate::{IdSet, InstrId, Instruction, IrError, Opcode};
 
 /// A directed dependence edge between two instructions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -31,16 +29,20 @@ impl Edge {
 
 /// An immutable data-dependence DAG.
 ///
-/// Construct with [`DagBuilder`]. The graph stores forward and backward
-/// adjacency and a topological order; all of them are exposed as slices
-/// so analyses can iterate without allocation.
+/// Construct with [`DagBuilder`]. The graph stores its adjacency in one
+/// compressed-sparse-row array — each instruction's predecessors, then
+/// its successors, both in edge insertion order — plus a topological
+/// order; all of them are exposed as slices so analyses can iterate
+/// without allocation.
 #[derive(Clone, Debug)]
 pub struct Dag {
     instrs: Vec<Instruction>,
-    succs: Vec<Vec<InstrId>>,
-    preds: Vec<Vec<InstrId>>,
+    /// `adj[off[i]..split[i]]` are `i`'s predecessors and
+    /// `adj[split[i]..off[i + 1]]` its successors.
+    adj: Vec<InstrId>,
+    off: Vec<u32>,
+    split: Vec<u32>,
     topo: Vec<InstrId>,
-    n_edges: usize,
 }
 
 impl Dag {
@@ -63,7 +65,7 @@ impl Dag {
     /// Returns the number of dependence edges.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.n_edges
+        self.adj.len() / 2
     }
 
     /// Returns the instruction with id `i`.
@@ -90,19 +92,21 @@ impl Dag {
     /// Returns the direct successors (consumers) of `i`.
     #[must_use]
     pub fn succs(&self, i: InstrId) -> &[InstrId] {
-        &self.succs[i.index()]
+        &self.adj[self.split[i.index()] as usize..self.off[i.index() + 1] as usize]
     }
 
     /// Returns the direct predecessors (producers) of `i`.
     #[must_use]
     pub fn preds(&self, i: InstrId) -> &[InstrId] {
-        &self.preds[i.index()]
+        &self.adj[self.off[i.index()] as usize..self.split[i.index()] as usize]
     }
 
     /// Returns both predecessors and successors of `i` — the
     /// "neighbors" that the paper's COMM heuristic inspects.
     pub fn neighbors(&self, i: InstrId) -> impl Iterator<Item = InstrId> + '_ {
-        self.preds(i).iter().chain(self.succs(i)).copied()
+        self.adj[self.off[i.index()] as usize..self.off[i.index() + 1] as usize]
+            .iter()
+            .copied()
     }
 
     /// Returns instruction ids in a topological order (producers before
@@ -114,10 +118,8 @@ impl Dag {
 
     /// Iterates over all edges.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.succs.iter().enumerate().flat_map(|(src, out)| {
-            out.iter()
-                .map(move |&dst| Edge::new(InstrId::new(src as u32), dst))
-        })
+        self.ids()
+            .flat_map(move |src| self.succs(src).iter().map(move |&dst| Edge::new(src, dst)))
     }
 
     /// Returns ids of instructions with no predecessors.
@@ -139,6 +141,82 @@ impl Dag {
     #[must_use]
     pub fn preplaced_count(&self) -> usize {
         self.preplaced().count()
+    }
+
+    /// Builds the graph over `instrs` from `edges`, whose endpoints
+    /// must be declared and distinct and which must hold no edge twice
+    /// (the checks [`DagBuilder::edge`] makes). A counting sort fills
+    /// the adjacency in insertion order; Kahn's algorithm then checks
+    /// acyclicity, and its queue is the topological order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::Empty`] for a graph with no instructions and
+    /// [`IrError::Cycle`] if the edges do not form a DAG.
+    pub(crate) fn from_edges(instrs: Vec<Instruction>, edges: &[Edge]) -> Result<Dag, IrError> {
+        let n = instrs.len();
+        if n == 0 {
+            return Err(IrError::Empty);
+        }
+        let slots = u32::try_from(2 * edges.len()).expect("fewer than 2^31 edges");
+        // In-degrees, and in `split` each node's total degree.
+        let mut indeg = vec![0u32; n];
+        let mut split = vec![0u32; n];
+        for e in edges {
+            indeg[e.dst.index()] += 1;
+            split[e.src.index()] += 1;
+            split[e.dst.index()] += 1;
+        }
+        // Prefix sums: `off[i]` is the end of `i`'s predecessors and
+        // `split[i]` the end of its successors.
+        let mut off = Vec::with_capacity(n + 1);
+        let mut end = 0;
+        for (s, &d) in split.iter_mut().zip(&indeg) {
+            off.push(end + d);
+            end += *s;
+            *s = end;
+        }
+        off.push(slots);
+        // Fill back to front, so each run keeps insertion order and
+        // each cursor stops at the start of its run.
+        let mut adj = vec![InstrId::new(0); slots as usize];
+        for e in edges.iter().rev() {
+            let (s, d) = (e.src.index(), e.dst.index());
+            off[d] -= 1;
+            adj[off[d] as usize] = e.src;
+            split[s] -= 1;
+            adj[split[s] as usize] = e.dst;
+        }
+        let mut dag = Dag {
+            instrs,
+            adj,
+            off,
+            split,
+            topo: Vec::new(),
+        };
+
+        // Kahn's algorithm: the queue of freed nodes is the order.
+        let mut topo = Vec::with_capacity(n);
+        topo.extend(dag.ids().filter(|i| indeg[i.index()] == 0));
+        let mut head = 0;
+        while let Some(&i) = topo.get(head) {
+            head += 1;
+            for &s in dag.succs(i) {
+                indeg[s.index()] -= 1;
+                if indeg[s.index()] == 0 {
+                    topo.push(s);
+                }
+            }
+        }
+        if topo.len() != n {
+            let witness = dag
+                .ids()
+                .find(|i| indeg[i.index()] > 0)
+                .expect("cycle implies a node with nonzero in-degree");
+            return Err(IrError::Cycle { witness });
+        }
+        dag.topo = topo;
+        Ok(dag)
     }
 }
 
@@ -163,7 +241,10 @@ impl Dag {
 pub struct DagBuilder {
     instrs: Vec<Instruction>,
     edges: Vec<Edge>,
-    edge_set: HashSet<(InstrId, InstrId)>,
+    /// Dense ids hash with [`IdHasher`](crate::IdHasher). A file can
+    /// choose which pairs of its declared ids it connects, so crafted
+    /// collisions could slow its parse, never change its graph.
+    edge_set: IdSet<(InstrId, InstrId)>,
 }
 
 impl DagBuilder {
@@ -179,7 +260,7 @@ impl DagBuilder {
         DagBuilder {
             instrs: Vec::with_capacity(n),
             edges: Vec::with_capacity(n * 2),
-            edge_set: HashSet::with_capacity(n * 2),
+            edge_set: IdSet::with_capacity_and_hasher(n * 2, Default::default()),
         }
     }
 
@@ -261,51 +342,9 @@ impl DagBuilder {
     /// Returns [`IrError::Empty`] for a graph with no instructions and
     /// [`IrError::Cycle`] if the edges do not form a DAG.
     pub fn build(self) -> Result<Dag, IrError> {
-        let n = self.instrs.len();
-        if n == 0 {
-            return Err(IrError::Empty);
-        }
-        let mut succs: Vec<Vec<InstrId>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<InstrId>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            succs[e.src.index()].push(e.dst);
-            preds[e.dst.index()].push(e.src);
-        }
-
-        // Kahn's algorithm, also detects cycles.
-        let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
-        let mut queue: Vec<InstrId> = (0..n as u32)
-            .map(InstrId::new)
-            .filter(|i| indeg[i.index()] == 0)
-            .collect();
-        let mut topo = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < queue.len() {
-            let i = queue[head];
-            head += 1;
-            topo.push(i);
-            for &s in &succs[i.index()] {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    queue.push(s);
-                }
-            }
-        }
-        if topo.len() != n {
-            let witness = (0..n as u32)
-                .map(InstrId::new)
-                .find(|i| indeg[i.index()] > 0)
-                .expect("cycle implies a node with nonzero in-degree");
-            return Err(IrError::Cycle { witness });
-        }
-
-        Ok(Dag {
-            instrs: self.instrs,
-            n_edges: self.edges.len(),
-            succs,
-            preds,
-            topo,
-        })
+        // Free the duplicate check before the fill allocates.
+        drop(self.edge_set);
+        Dag::from_edges(self.instrs, &self.edges)
     }
 }
 

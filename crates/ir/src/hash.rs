@@ -1,6 +1,6 @@
 //! A fast deterministic hasher for tables keyed by ids.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiply-rotate hasher (the FxHash step) for keys built from
@@ -34,6 +34,9 @@ impl Hasher for IdHasher {
 
 /// A `HashMap` hashed by [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` hashed by [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

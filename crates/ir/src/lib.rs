@@ -53,7 +53,7 @@ pub use analysis::{CriticalPath, TimeAnalysis};
 pub use dot::to_dot;
 pub use error::IrError;
 pub use graph::{Dag, DagBuilder, Edge};
-pub use hash::{IdHasher, IdMap};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use id::{ClusterId, Cycle, InstrId};
 pub use instr::{Instruction, OpClass, Opcode};
 pub use partition::{

@@ -35,7 +35,7 @@
 //!   graph, so the stitch phase can commit shards left to right and only
 //!   ever look backwards for producers.
 
-use crate::{Dag, DagBuilder, Edge, InstrId};
+use crate::{Dag, Edge, InstrId};
 
 /// Default region-size target for [`decompose_with`], in instructions.
 ///
@@ -653,24 +653,24 @@ fn assemble(dag: &Dag, groups: Vec<Vec<InstrId>>) -> Decomposition {
     }
     debug_assert!(shard_of.iter().all(|&s| s != usize::MAX));
 
+    // The induced edges of a DAG are distinct and in range, so they
+    // skip the builder's checks.
+    let mut edges = Vec::new();
     let shards: Vec<Shard> = groups
         .into_iter()
         .map(|group| {
-            let mut b = DagBuilder::with_capacity(group.len());
+            edges.clear();
             for &g in &group {
-                b.push(dag.instr(g).clone());
-            }
-            for &g in &group {
+                let (k, src) = (shard_of[g.index()], local_of[g.index()]);
                 for &s in dag.succs(g) {
-                    if shard_of[s.index()] == shard_of[g.index()] {
-                        b.edge(local_of[g.index()], local_of[s.index()])
-                            .expect("induced edge endpoints exist");
+                    if shard_of[s.index()] == k {
+                        edges.push(Edge::new(src, local_of[s.index()]));
                     }
                 }
             }
+            let instrs = group.iter().map(|&g| dag.instr(g).clone()).collect();
             Shard {
-                dag: b
-                    .build()
+                dag: Dag::from_edges(instrs, &edges)
                     .expect("induced subgraph of a DAG is a nonempty DAG"),
                 to_global: group,
             }
@@ -696,7 +696,7 @@ fn assemble(dag: &Dag, groups: Vec<Vec<InstrId>>) -> Decomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Opcode;
+    use crate::{DagBuilder, Opcode};
 
     /// `k` disjoint chains of length `len`.
     fn chains(k: usize, len: usize) -> Dag {

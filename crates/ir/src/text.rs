@@ -94,6 +94,43 @@ fn opcode_from_mnemonic(s: &str) -> Option<Opcode> {
     })
 }
 
+/// Parses what follows an `i`: a mnemonic, an optional `@cluster`
+/// preplacement, then an optional `# name` whose words are rejoined
+/// with single spaces. Other trailing words are ignored.
+fn parse_instr<'a>(
+    mut parts: impl Iterator<Item = &'a str>,
+    line: usize,
+    content: &str,
+) -> Result<Instruction, TextError> {
+    let bad_line = || TextError::BadLine {
+        line,
+        content: content.to_string(),
+    };
+    let mnemonic = parts.next().ok_or_else(bad_line)?;
+    let opcode = opcode_from_mnemonic(mnemonic).ok_or_else(|| TextError::UnknownOpcode {
+        line,
+        mnemonic: mnemonic.to_string(),
+    })?;
+    let mut instr = Instruction::new(opcode);
+    let mut next = parts.next();
+    if let Some(cluster) = next.and_then(|w| w.strip_prefix('@')) {
+        let c: u16 = cluster.parse().map_err(|_| bad_line())?;
+        instr = Instruction::preplaced(opcode, ClusterId::new(c));
+        next = parts.next();
+    }
+    if next == Some("#") {
+        let mut name = String::new();
+        for word in parts {
+            if !name.is_empty() {
+                name.push(' ');
+            }
+            name.push_str(word);
+        }
+        instr = instr.with_name(name);
+    }
+    Ok(instr)
+}
+
 /// A parsed-but-unvalidated `.cdag` document.
 ///
 /// [`parse_raw`] stops after the syntactic layer: instructions and
@@ -200,33 +237,7 @@ pub fn parse_raw(text: &str) -> Result<RawUnit, TextError> {
                     raw.name = n.to_string();
                 }
             }
-            Some("i") => {
-                let mnemonic = parts.next().ok_or_else(|| TextError::BadLine {
-                    line,
-                    content: content.to_string(),
-                })?;
-                let opcode =
-                    opcode_from_mnemonic(mnemonic).ok_or_else(|| TextError::UnknownOpcode {
-                        line,
-                        mnemonic: mnemonic.to_string(),
-                    })?;
-                let mut instr = Instruction::new(opcode);
-                let mut rest: Vec<&str> = parts.collect();
-                if let Some(first) = rest.first() {
-                    if let Some(cluster) = first.strip_prefix('@') {
-                        let c: u16 = cluster.parse().map_err(|_| TextError::BadLine {
-                            line,
-                            content: content.to_string(),
-                        })?;
-                        instr = Instruction::preplaced(opcode, ClusterId::new(c));
-                        rest.remove(0);
-                    }
-                }
-                if rest.first() == Some(&"#") {
-                    instr = instr.with_name(rest[1..].join(" "));
-                }
-                raw.instrs.push(instr);
-            }
+            Some("i") => raw.instrs.push(parse_instr(parts, line, content)?),
             Some("e") => {
                 let parse_id = |s: Option<&str>| -> Result<u32, TextError> {
                     s.and_then(|x| x.parse().ok())
@@ -319,31 +330,7 @@ pub fn parse_unit(text: &str) -> Result<SchedulingUnit, TextError> {
                 }
             }
             Some("i") => {
-                let mnemonic = parts.next().ok_or_else(|| TextError::BadLine {
-                    line,
-                    content: content.to_string(),
-                })?;
-                let opcode =
-                    opcode_from_mnemonic(mnemonic).ok_or_else(|| TextError::UnknownOpcode {
-                        line,
-                        mnemonic: mnemonic.to_string(),
-                    })?;
-                let mut instr = Instruction::new(opcode);
-                let mut rest: Vec<&str> = parts.collect();
-                if let Some(first) = rest.first() {
-                    if let Some(cluster) = first.strip_prefix('@') {
-                        let c: u16 = cluster.parse().map_err(|_| TextError::BadLine {
-                            line,
-                            content: content.to_string(),
-                        })?;
-                        instr = Instruction::preplaced(opcode, ClusterId::new(c));
-                        rest.remove(0);
-                    }
-                }
-                if rest.first() == Some(&"#") {
-                    instr = instr.with_name(rest[1..].join(" "));
-                }
-                b.push(instr);
+                b.push(parse_instr(parts, line, content)?);
                 n_instrs += 1;
             }
             Some("e") => {

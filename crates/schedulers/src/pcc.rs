@@ -232,6 +232,9 @@ struct LengthEstimate<'a> {
     /// Edges from each instruction into each cluster, when copies
     /// occupy transfer units (empty otherwise).
     out_edges: Vec<u32>,
+    /// Per instruction, how many clusters its `out_edges` entries
+    /// are nonzero for (empty when `out_edges` is).
+    out_clusters: Vec<u32>,
     /// Unit counts of a probe's recount.
     per_fu: Vec<u32>,
 }
@@ -257,10 +260,15 @@ impl<'a> LengthEstimate<'a> {
         }
         let units = UnitTable::new(dag, machine);
         let mut out_edges = Vec::new();
+        let mut out_clusters = Vec::new();
         if units.transfer {
             out_edges = vec![0; n * n_clusters];
+            out_clusters = vec![0; n];
             for e in dag.edges() {
-                out_edges[e.src.index() * n_clusters + assignment.cluster(e.dst).index()] += 1;
+                let count =
+                    &mut out_edges[e.src.index() * n_clusters + assignment.cluster(e.dst).index()];
+                *count += 1;
+                out_clusters[e.src.index()] += u32::from(*count == 1);
             }
         }
         let mut est = LengthEstimate {
@@ -280,6 +288,7 @@ impl<'a> LengthEstimate<'a> {
             loads,
             copies: vec![0; n_clusters],
             out_edges,
+            out_clusters,
             per_fu: Vec::new(),
         };
         for c in 0..n_clusters {
@@ -295,11 +304,8 @@ impl<'a> LengthEstimate<'a> {
 
     /// Distinct clusters other than `c` that `i`'s consumers occupy.
     fn dests(&self, i: InstrId, c: usize) -> u32 {
-        let row = &self.out_edges[i.index() * self.n_clusters..][..self.n_clusters];
-        row.iter()
-            .enumerate()
-            .filter(|&(u, &k)| u != c && k > 0)
-            .count() as u32
+        let own = self.out_edges[i.index() * self.n_clusters + c] > 0;
+        self.out_clusters[i.index()] - u32::from(own)
     }
 
     /// Moves `moved` from `from` to `to` in the cluster map and the
@@ -323,6 +329,8 @@ impl<'a> LengthEstimate<'a> {
                 let row = p.index() * nc;
                 self.out_edges[row + from] -= 1;
                 self.out_edges[row + to] += 1;
+                self.out_clusters[p.index()] -= u32::from(self.out_edges[row + from] == 0);
+                self.out_clusters[p.index()] += u32::from(self.out_edges[row + to] == 1);
                 let pc = self.cluster[self.pos[p.index()] as usize];
                 if pc == DETACHED {
                     continue;

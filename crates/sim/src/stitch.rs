@@ -32,9 +32,7 @@
 //! predecessors loses its live-in charge), so the merged schedule
 //! passes [`crate::validate`] whenever the shard schedules did.
 
-use std::collections::{HashMap, HashSet};
-
-use convergent_ir::{ClusterId, Cycle, Dag, Decomposition, Edge, InstrId, OpClass};
+use convergent_ir::{ClusterId, Cycle, Dag, Decomposition, Edge, IdMap, IdSet, InstrId, OpClass};
 use convergent_machine::Machine;
 
 use crate::{effective_latency_in, ScheduleBuilder, SimError, SlotLedger, SpaceTimeSchedule};
@@ -77,8 +75,8 @@ pub fn stitch(
     /// Records that `g` is available on cluster `c` at cycle `t`,
     /// min-merging with any earlier arrival.
     fn note_avail(
-        avail: &mut HashMap<(InstrId, u16), u32>,
-        locs: &mut HashMap<InstrId, Vec<u16>>,
+        avail: &mut IdMap<(InstrId, u16), u32>,
+        locs: &mut IdMap<InstrId, Vec<u16>>,
         g: InstrId,
         c: u16,
         t: u32,
@@ -102,9 +100,11 @@ pub fn stitch(
     for &e in decomposition.cross_edges() {
         incoming[decomposition.shard_of(e.dst)].push(e);
     }
-    // Producers whose value crosses a shard boundary.
-    let cross_sources: HashSet<InstrId> =
-        decomposition.cross_edges().iter().map(|e| e.src).collect();
+    // Producers whose value crosses a shard boundary. This set and
+    // the `avail`/`locs` tables below (and their per-round trials) are
+    // keyed by ids and only probed, never iterated, so their hasher
+    // cannot change the stitched schedule.
+    let cross_sources: IdSet<InstrId> = decomposition.cross_edges().iter().map(|e| e.src).collect();
     let register_mapped = machine.comm().register_mapped;
 
     // Committed issue slots, and value availability of cross-shard
@@ -115,8 +115,8 @@ pub fn stitch(
     // Per-round overlays, reused across shards (see the search below).
     let mut round = SlotLedger::new(machine);
     let mut claim = SlotLedger::new(machine);
-    let mut avail: HashMap<(InstrId, u16), u32> = HashMap::new();
-    let mut locs: HashMap<InstrId, Vec<u16>> = HashMap::new();
+    let mut avail: IdMap<(InstrId, u16), u32> = IdMap::default();
+    let mut locs: IdMap<InstrId, Vec<u16>> = IdMap::default();
 
     let mut builder = ScheduleBuilder::new(dag);
     let mut offsets = Vec::with_capacity(shards.len());
@@ -193,8 +193,8 @@ pub fn stitch(
             }
             let mut new_comms: Vec<(InstrId, ClusterId, ClusterId, u32, Option<usize>)> =
                 Vec::new();
-            let mut trial_avail: HashMap<(InstrId, u16), u32> = HashMap::new();
-            let mut trial_locs: HashMap<InstrId, Vec<u16>> = HashMap::new();
+            let mut trial_avail: IdMap<(InstrId, u16), u32> = IdMap::default();
+            let mut trial_locs: IdMap<InstrId, Vec<u16>> = IdMap::default();
             let mut shortfall: u32 = 0;
             for e in &incoming[k] {
                 let op = part.op(decomposition.local_id(e.dst));
