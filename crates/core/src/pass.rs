@@ -43,9 +43,9 @@ pub struct PassContext<'a> {
 #[derive(Clone, Debug, Default)]
 pub struct PassScratch {
     /// COMM's marginal snapshot, NOISE's draw row, PLACEPROP's factor
-    /// row.
+    /// row, PATHPROP's confidence table.
     pub a: Vec<f64>,
-    /// COMM's skew matrix.
+    /// COMM's skew matrix, PATHPROP's source marginal and blend row.
     pub b: Vec<f64>,
     /// COMM's grand-neighbor dedup stamps.
     pub mark: Vec<u32>,

@@ -20,7 +20,8 @@
 //! `argmax{i ∈ Ig : distance(i, B)}` while naming the result
 //! `iclosest`; we follow the name and the stated intent — nearest
 //! wins — and flag the discrepancy here.) Distances to bins are kept
-//! exactly and updated as instructions join (see `BinDistances`).
+//! exact at band members and updated as instructions join (see
+//! `BinDistances`).
 
 use convergent_analysis::{EffectOp, Interval, PassEffect};
 use convergent_ir::{ClusterId, Dag, InstrId, UNREACHABLE};
@@ -141,7 +142,7 @@ impl LevelDistribute {
                 (self.granularity as usize * width).max(fair_share)
             })
             .collect();
-        near.seed(&bins);
+        near.seed(band, &bins);
         // Row `n_clusters` holds the distance to the nearest member of
         // any bin: an instruction's isolation.
         let any = n_clusters;
@@ -152,7 +153,6 @@ impl LevelDistribute {
                      i: InstrId| {
             bins[c].push(i);
             near.join(c, [i]);
-            near.join(any, [i]);
             // Boosting at once is safe: within a band the pass reads
             // only feasibility, which a boost cannot change.
             ctx.weights
@@ -240,22 +240,49 @@ impl LevelDistribute {
     }
 }
 
-/// Exact undirected distances, in edges, from every instruction to
-/// each bin of the current band: row `c` holds the distance to the
-/// nearest member of bin `c` ([`UNREACHABLE`] when none is connected).
+/// Undirected distances, in edges, from instructions to each bin of
+/// the current band: row `c` holds the distance to the nearest member
+/// of bin `c`, and the last row (the *any* row) the distance to the
+/// nearest member of any bin ([`UNREACHABLE`] when none is connected).
 ///
-/// Rows only shrink as members join, so each join is a BFS from the
-/// newcomer that expands only where it improves the row. That is exact
-/// because distance to a set is 1-Lipschitz along an edge: if the
-/// newcomer `x` improves `v`, every vertex `u` on a shortest `x`–`v`
-/// path has `row[u] ≥ row[v] − d(u, v) > d(x, v) − d(u, v) = d(x, u)`,
-/// so the search reaches `v` through improving vertices only.
+/// Only band members are ever read, and only band members are exact.
+/// Every other entry is an *overestimate*: at least the true distance.
+/// Rows only shrink as members join, so each join is a level-by-level
+/// BFS from the newcomers that expands only where it improves the row.
+/// Overestimates do not hide a band member from it: distance to a set
+/// is 1-Lipschitz along an edge, so if a newcomer `x` improves a band
+/// member `b`, every vertex `u` on a shortest `x`–`b` path has
+/// `row[u] ≥ dist(u) ≥ dist(b) − d(u, b) > d(x, b) − d(u, b) = d(x, u)`
+/// (the first step is the overestimate bound, the strict one is
+/// `row[b] = dist(b) > d(x, b)`), so the search reaches `b` through
+/// improving vertices only, at depth `d(x, b)`.
+///
+/// The search stops before expanding depth `k` once every band member
+/// of the row is reached and none is farther than `k + 1`: an
+/// improvement from there on needs `d(x, b) ≥ k + 1 ≥ row[b]`, which
+/// is no improvement. Vertices beyond the stop keep their old values,
+/// which are at least the old distance and so at least the new one.
+/// A band member in another component stays unreached, and so the
+/// search then exhausts its own component.
+///
+/// The any row has no search of its own: every bin-row write is
+/// mirrored into it as a running minimum. At a band member each bin
+/// row's last write is its exact distance, so the mirror is the
+/// minimum of the exact bin distances, the distance to the union.
 #[derive(Debug)]
 struct BinDistances<'a> {
     /// The graph, walked undirected through [`Dag::neighbors`].
     dag: &'a Dag,
-    /// `rows × n` distances, row-major.
+    /// `(bins + 1) × n` distances, row-major; the any row is last.
     dist: Vec<u32>,
+    /// `stamp[v] == band` exactly when `v` is in the current band.
+    stamp: Vec<u32>,
+    band: u32,
+    /// Per bin row: the band members it has not reached.
+    unreached: Vec<usize>,
+    /// Per bin row: how many band members sit at each finite distance,
+    /// with no trailing zeros once [`BinDistances::settled`] trims it.
+    at: Vec<Vec<u32>>,
     queue: Vec<InstrId>,
 }
 
@@ -265,47 +292,93 @@ impl<'a> BinDistances<'a> {
         BinDistances {
             dag,
             dist: vec![UNREACHABLE; (n_clusters + 1) * dag.len()],
+            stamp: vec![0; dag.len()],
+            band: 0,
+            unreached: vec![0; n_clusters],
+            at: vec![Vec::new(); n_clusters],
             queue: Vec::new(),
         }
     }
 
-    /// Distance from `i` to row `c`'s set.
+    /// Distance from band member `i` to row `c`'s set (`c` = number of
+    /// bins for the any row).
     fn get(&self, c: usize, i: InstrId) -> u32 {
         self.dist[c * self.dag.len() + i.index()]
     }
 
-    /// Resets every row to the band's seed `bins` (and their union).
-    fn seed(&mut self, bins: &[Vec<InstrId>]) {
+    /// Starts `band` with the seed `bins`: resets every row to them
+    /// (and their union).
+    fn seed(&mut self, band: &[InstrId], bins: &[Vec<InstrId>]) {
+        self.band += 1;
+        for &i in band {
+            self.stamp[i.index()] = self.band;
+        }
         self.dist.fill(UNREACHABLE);
+        self.unreached.fill(band.len());
+        for at in &mut self.at {
+            at.clear();
+        }
         for (c, bin) in bins.iter().enumerate() {
             self.join(c, bin.iter().copied());
         }
-        self.join(bins.len(), bins.iter().flatten().copied());
     }
 
-    /// Adds `xs` to row `c`'s set: a multi-source BFS pruned to the
-    /// vertices it brings closer.
+    /// Adds `xs` to bin row `c`'s set: a multi-source BFS pruned to the
+    /// vertices it brings closer, stopped once the band is settled.
     fn join(&mut self, c: usize, xs: impl IntoIterator<Item = InstrId>) {
-        let n = self.dag.len();
-        let row = &mut self.dist[c * n..(c + 1) * n];
+        let (dag, n) = (self.dag, self.dag.len());
         self.queue.clear();
         for x in xs {
-            if row[x.index()] > 0 {
-                row[x.index()] = 0;
+            if self.dist[c * n + x.index()] > 0 {
+                self.lower(c, x, 0);
                 self.queue.push(x);
             }
         }
-        let mut head = 0;
-        while let Some(&u) = self.queue.get(head) {
-            head += 1;
-            let d = row[u.index()] + 1;
-            for v in self.dag.neighbors(u) {
-                if d < row[v.index()] {
-                    row[v.index()] = d;
-                    self.queue.push(v);
+        let (mut head, mut depth) = (0, 0);
+        while head < self.queue.len() && !self.settled(c, depth) {
+            let end = self.queue.len();
+            for k in head..end {
+                for v in dag.neighbors(self.queue[k]) {
+                    if depth + 1 < self.dist[c * n + v.index()] {
+                        self.lower(c, v, depth + 1);
+                        self.queue.push(v);
+                    }
                 }
             }
+            (head, depth) = (end, depth + 1);
         }
+    }
+
+    /// Sets `v`'s entry in bin row `c` to the smaller `d`, mirrors it
+    /// into the any row, and keeps the row's band tallies.
+    fn lower(&mut self, c: usize, v: InstrId, d: u32) {
+        let (n, any) = (self.dag.len(), self.at.len());
+        let old = std::mem::replace(&mut self.dist[c * n + v.index()], d);
+        let mirror = &mut self.dist[any * n + v.index()];
+        *mirror = (*mirror).min(d);
+        if self.stamp[v.index()] == self.band {
+            let at = &mut self.at[c];
+            if old == UNREACHABLE {
+                self.unreached[c] -= 1;
+            } else {
+                at[old as usize] -= 1;
+            }
+            if at.len() <= d as usize {
+                at.resize(d as usize + 1, 0);
+            }
+            at[d as usize] += 1;
+        }
+    }
+
+    /// Whether a search in bin row `c` may stop before expanding depth
+    /// `depth`: every band member is reached and none is farther than
+    /// `depth + 1`.
+    fn settled(&mut self, c: usize, depth: u32) -> bool {
+        let at = &mut self.at[c];
+        while at.last() == Some(&0) {
+            at.pop();
+        }
+        self.unreached[c] == 0 && at.len() <= depth as usize + 2
     }
 }
 
@@ -389,6 +462,141 @@ mod tests {
         rig.run(&LevelDistribute::new());
         // `near` (distance 1 ≤ g) joins the seeded bin.
         assert_eq!(rig.weights.preferred_cluster(near), c(1));
+    }
+
+    /// Exact multi-source undirected distances from `set`.
+    fn full_bfs(dag: &Dag, set: &[InstrId]) -> Vec<u32> {
+        let mut dist = vec![UNREACHABLE; dag.len()];
+        let mut queue: Vec<InstrId> = set.to_vec();
+        for &x in set {
+            dist[x.index()] = 0;
+        }
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for v in dag.neighbors(u) {
+                if dist[v.index()] == UNREACHABLE {
+                    dist[v.index()] = dist[u.index()] + 1;
+                    queue.push(v);
+                }
+            }
+        }
+        dist
+    }
+
+    /// A chain of `len` instructions.
+    fn chain(b: &mut DagBuilder, len: usize) -> Vec<InstrId> {
+        let ids: Vec<InstrId> = (0..len).map(|_| b.instr(Opcode::IntAlu)).collect();
+        for w in ids.windows(2) {
+            b.edge(w[0], w[1]).unwrap();
+        }
+        ids
+    }
+
+    #[test]
+    fn band_member_in_another_component_reads_unreachable() {
+        let mut b = DagBuilder::new();
+        let p = chain(&mut b, 6);
+        let q = chain(&mut b, 2);
+        let dag = b.build().unwrap();
+        let mut near = BinDistances::new(&dag, 1);
+        near.seed(&[p[0], p[2], q[1]], &[vec![p[0]]]);
+        assert_eq!(near.get(0, p[2]), 2);
+        assert_eq!(near.get(0, q[1]), UNREACHABLE);
+        assert_eq!(near.get(1, q[1]), UNREACHABLE, "any row");
+        // The unreached member keeps the search going: it exhausts
+        // its own component.
+        assert_eq!(near.get(0, p[5]), 5);
+    }
+
+    #[test]
+    fn join_stops_once_the_band_is_settled() {
+        let mut b = DagBuilder::new();
+        let p = chain(&mut b, 8);
+        let dag = b.build().unwrap();
+        let mut near = BinDistances::new(&dag, 1);
+        near.seed(&[p[0], p[2]], &[vec![p[0]]]);
+        assert_eq!(near.get(0, p[2]), 2);
+        // Depth 2 holds the farthest band member, so depth 2 is never
+        // expanded: everything past it stays an overestimate.
+        assert_eq!(near.get(0, p[3]), UNREACHABLE);
+        assert_eq!(near.get(0, p[7]), UNREACHABLE);
+    }
+
+    #[test]
+    fn join_crosses_a_vertex_left_at_an_overestimate() {
+        // s — a1 — a2 — y and s — c1 — c2 — b, plus y — u — b: the
+        // seed join from s settles y and b at 3 and stops before u
+        // (true distance 4). Joining y must then reach b through u,
+        // its only shortest path.
+        let mut b = DagBuilder::new();
+        let a = chain(&mut b, 4);
+        let c = chain(&mut b, 3);
+        let (s, y, bm) = (a[0], a[3], c[2]);
+        b.edge(s, c[0]).unwrap();
+        let u = b.instr(Opcode::IntAlu);
+        b.edge(y, u).unwrap();
+        b.edge(u, bm).unwrap();
+        let dag = b.build().unwrap();
+        let band = [y, bm];
+        let mut near = BinDistances::new(&dag, 1);
+        near.seed(&band, &[vec![s]]);
+        assert_eq!((near.get(0, y), near.get(0, bm)), (3, 3));
+        assert_eq!(near.get(0, u), UNREACHABLE, "u is left at an overestimate");
+        near.join(0, [y]);
+        assert_eq!(full_bfs(&dag, &[s, y])[bm.index()], 2);
+        assert_eq!(near.get(0, bm), 2);
+        assert_eq!(near.get(1, bm), 2, "any row");
+    }
+
+    #[test]
+    fn band_rows_match_full_searches_after_every_join() {
+        let n_bins = 3;
+        for (family, seed) in [("layered", 1), ("series-parallel", 2), ("disconnected", 3)] {
+            let unit = convergent_workloads::build_unit(family, 120, 4, seed);
+            let dag = unit.dag();
+            let time = convergent_ir::TimeAnalysis::compute(dag, |_| 1);
+            let mut near = BinDistances::new(dag, n_bins);
+            let mut ids: Vec<InstrId> = dag.ids().collect();
+            ids.sort_by_key(|&i| (time.level(i) / 4, i));
+            for band in ids.chunk_by(|&a, &b| time.level(a) / 4 == time.level(b) / 4) {
+                // Seed two bins with a member each, then deal the rest
+                // round-robin over all three.
+                let mut bins: Vec<Vec<InstrId>> = vec![Vec::new(); n_bins];
+                let (seeded, rest) = band.split_at(band.len().min(2));
+                for (c, &i) in seeded.iter().enumerate() {
+                    bins[c].push(i);
+                }
+                near.seed(band, &bins);
+                let check = |near: &BinDistances<'_>, bins: &[Vec<InstrId>]| {
+                    let exact: Vec<Vec<u32>> = bins.iter().map(|bin| full_bfs(dag, bin)).collect();
+                    let union = full_bfs(dag, &bins.concat());
+                    for &i in band {
+                        for (c, row) in exact.iter().enumerate() {
+                            assert_eq!(
+                                near.get(c, i),
+                                row[i.index()],
+                                "{family}: bin {c} at {i:?}"
+                            );
+                        }
+                        let min = (0..n_bins).map(|c| near.get(c, i)).min();
+                        assert_eq!(Some(near.get(n_bins, i)), min, "{family}: any at {i:?}");
+                        assert_eq!(
+                            near.get(n_bins, i),
+                            union[i.index()],
+                            "{family}: any at {i:?}"
+                        );
+                    }
+                };
+                check(&near, &bins);
+                for (k, &i) in rest.iter().enumerate() {
+                    let c = k % n_bins;
+                    bins[c].push(i);
+                    near.join(c, [i]);
+                    check(&near, &bins);
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use convergent_analysis::{EffectOp, Interval, PassEffect};
 use convergent_ir::{ClusterId, InstrId};
 
-use crate::{Pass, PassContext};
+use crate::{Pass, PassContext, PreferenceMap};
 
 /// Confidence above which an instruction is a walk source ("the
 /// confidence threshold t is an input parameter").
@@ -62,18 +62,52 @@ impl Pass for PathProp {
     }
 
     fn run(&self, ctx: &mut PassContext<'_>) {
-        let mut sources: Vec<(InstrId, f64)> = ctx
-            .dag
+        let PassContext {
+            dag,
+            weights,
+            scratch,
+            ..
+        } = ctx;
+        // One confidence table for the run: a walk rewrites only the
+        // row it steps onto, so refreshing that entry keeps it exact.
+        let conf = &mut scratch.a;
+        conf.clear();
+        conf.extend(dag.ids().map(|i| weights.confidence(i)));
+        let mut sources: Vec<(InstrId, f64)> = dag
             .ids()
-            .map(|i| (i, ctx.weights.confidence(i)))
-            .filter(|&(_, conf)| conf > THRESHOLD)
+            .map(|i| (i, conf[i.index()]))
+            .filter(|&(_, c)| c > THRESHOLD)
             .collect();
-        // Most confident first; walk each source down, then up.
+        // Most confident first; walk each source down through
+        // successors, then up through predecessors.
         sources.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("confidences comparable"));
+        let n_clusters = weights.n_clusters();
+        scratch.b.resize(2 * n_clusters, 0.0);
+        let (src, target) = scratch.b.split_at_mut(n_clusters);
         for (ih, conf_h) in sources {
-            let src_marginal = marginal(ctx, ih);
-            walk(ctx, ih, conf_h, &src_marginal, Direction::Down);
-            walk(ctx, ih, conf_h, &src_marginal, Direction::Up);
+            marginal_into(weights, ih, src, |_, own| own);
+            for down in [true, false] {
+                let mut cur = ih;
+                loop {
+                    let step = if down { dag.succs(cur) } else { dag.preds(cur) };
+                    // "find i | i ∈ successor(ih), confidence(i) <
+                    // confidence(ih)" — we take the least confident,
+                    // the one most in need of guidance.
+                    let next = step
+                        .iter()
+                        .map(|&s| (s, conf[s.index()]))
+                        .filter(|&(_, c)| c < conf_h && c < TARGET_THRESHOLD)
+                        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("comparable"))
+                        .map(|(s, _)| s);
+                    let Some(s) = next else { break };
+                    marginal_into(weights, s, target, |c, own| {
+                        BLEND * own + (1.0 - BLEND) * src[c]
+                    });
+                    weights.set_cluster_marginal(s, target);
+                    conf[s.index()] = weights.confidence(s);
+                    cur = s;
+                }
+            }
         }
     }
 
@@ -92,46 +126,17 @@ impl Pass for PathProp {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Direction {
-    Down,
-    Up,
-}
-
-fn marginal(ctx: &PassContext<'_>, i: InstrId) -> Vec<f64> {
-    let tot = ctx.weights.total(i).max(f64::MIN_POSITIVE);
-    (0..ctx.weights.n_clusters())
-        .map(|c| ctx.weights.cluster_weight(i, ClusterId::new(c as u16)) / tot)
-        .collect()
-}
-
-fn walk(ctx: &mut PassContext<'_>, ih: InstrId, conf_h: f64, src: &[f64], dir: Direction) {
-    let mut cur = ih;
-    loop {
-        let next = {
-            let step: &[InstrId] = match dir {
-                Direction::Down => ctx.dag.succs(cur),
-                Direction::Up => ctx.dag.preds(cur),
-            };
-            // "find i | i ∈ successor(ih), confidence(i) <
-            // confidence(ih)" — we take the least confident, the
-            // one most in need of guidance.
-            step.iter()
-                .copied()
-                .map(|s| (s, ctx.weights.confidence(s)))
-                .filter(|&(_, conf)| conf < conf_h && conf < TARGET_THRESHOLD)
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("comparable"))
-                .map(|(s, _)| s)
-        };
-        let Some(s) = next else { break };
-        let cur_marginal = marginal(ctx, s);
-        let target: Vec<f64> = cur_marginal
-            .iter()
-            .zip(src)
-            .map(|(own, from)| BLEND * own + (1.0 - BLEND) * from)
-            .collect();
-        ctx.weights.set_cluster_marginal(s, &target);
-        cur = s;
+/// Fills `out[c]` with `f(c, m_c)` for `i`'s normalized cluster
+/// marginal `m`.
+fn marginal_into(
+    weights: &PreferenceMap,
+    i: InstrId,
+    out: &mut [f64],
+    f: impl Fn(usize, f64) -> f64,
+) {
+    let tot = weights.total(i).max(f64::MIN_POSITIVE);
+    for (c, o) in out.iter_mut().enumerate() {
+        *o = f(c, weights.cluster_weight(i, ClusterId::new(c as u16)) / tot);
     }
 }
 

@@ -98,6 +98,21 @@ if [ "$args_status" = 0 ] || printf '%s' "$args_err" | grep -q panicked; then
     echo "check.sh: FAIL: compiletime --no-such-flag must exit nonzero without panicking (exit $args_status)" >&2
     exit 1
 fi
+step "pair script: syntax, and usage errors build and write nothing"
+# A bad invocation must stop before the worktrees, the builds and the
+# row file: exit 2, no work directory, no output file.
+bash -n scripts/pairs.sh
+pairs_tmp="$(mktemp -d)"
+for pairs_args in "--no-such-flag HEAD HEAD" "HEAD" "--pairs" "--pairs 0 HEAD HEAD"; do
+    # $pairs_args is unquoted on purpose: each string is an argument list.
+    bash scripts/pairs.sh --out "$pairs_tmp/rows.json" --workdir "$pairs_tmp/work" \
+        $pairs_args >/dev/null 2>&1 && pairs_status=0 || pairs_status=$?
+    if [ "$pairs_status" != 2 ] || [ -e "$pairs_tmp/rows.json" ] || [ -e "$pairs_tmp/work" ]; then
+        echo "check.sh: FAIL: pairs.sh $pairs_args must exit 2 and build and write nothing (exit $pairs_status)" >&2
+        exit 1
+    fi
+done
+rm -rf "$pairs_tmp"
 step "lint smoke: 500 fuzz graphs (seed 0)"
 cargo run --release -q -p convergent-bench --bin fuzz -- --seed 0 --budget 500 --lint-only
 step "fuzz smoke (seed 0, 200 cases)"
