@@ -25,11 +25,18 @@
 //! [`Pass::run`] therefore walks instructions in ascending order and,
 //! per row, draws that row's `feasible_clusters × window_width` values
 //! into one reusable row buffer
-//! ([`PassScratch::a`](crate::PassScratch::a)) before handing it to
-//! the bit-exact
+//! ([`PassScratch::a`](crate::PassScratch::a)) with one
+//! [`Rng::fill_f64`](convergent_rng::Rng::fill_f64) call before
+//! handing it to the bit-exact
 //! [`PreferenceMap::noise_fill`](crate::PreferenceMap::noise_fill).
-//! Working memory is one row: drawing the whole map's stream first
-//! would need a buffer as large as the bands.
+//! The block fill is the same sequential stream: on a host with
+//! AVX-512 it computes the row's draws in SplitMix64's counter form,
+//! eight lanes at a time, and elsewhere it is the `next_f64` loop, so
+//! no schedule depends on the host. On an untouched row `noise_fill`
+//! writes the cells in a vectorizable loop and folds the running sums
+//! in a scalar one
+//! (see its docs). Working memory is one row: drawing the whole map's
+//! stream first would need a buffer as large as the bands.
 
 use convergent_analysis::{Determinism, EffectOp, Interval, PassEffect};
 use convergent_ir::ClusterId;
@@ -67,11 +74,13 @@ impl Pass for Noise {
                 .filter(|&c| ctx.weights.cluster_feasible(i, ClusterId::new(c as u16)))
                 .count();
             let cells = feasible * (hi - lo + 1) as usize;
-            draws.clear();
             // Exact growth: the buffer lives for the whole pass, so it
             // stays at the widest row rather than up to twice that.
-            draws.reserve_exact(cells);
-            draws.extend((0..cells).map(|_| ctx.rng.next_f64()));
+            // Shrinking truncates and regrowth rewrites only the new
+            // tail, so no row pays to clear it.
+            draws.reserve_exact(cells.saturating_sub(draws.len()));
+            draws.resize(cells, 0.0);
+            ctx.rng.fill_f64(draws);
             ctx.weights.noise_fill(i, AMPLITUDE, draws);
         }
     }

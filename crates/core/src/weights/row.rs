@@ -603,6 +603,11 @@ impl PreferenceMap {
     /// row `r`, visiting clusters ascending and slots `lo..=hi` within
     /// each — the exact order (and arithmetic) of the per-cell NOISE
     /// loop.
+    ///
+    /// An untouched row (NOISE densifies every row on the VLIW
+    /// sequence) goes through [`noise_fill_uniform`], one cluster at a
+    /// time; a band goes through the per-cell loop with the marginals
+    /// in locals.
     #[inline(always)]
     pub(super) fn row_noise_fill(&mut self, r: usize, amplitude: f64, draws: &[f64]) {
         assert!(
@@ -620,6 +625,9 @@ impl PreferenceMap {
             "one draw per feasible cell"
         );
         let s = self.scale[r];
+        // Untouched, every cell holds the uniform value until densify.
+        let uniform =
+            matches!(self.rows[r], Row::Untouched).then(|| uniform_cell(nc, self.n_slots));
         // Stream each feasible cluster's cells with the marginals in
         // locals (same accumulation order as the per-cell path, so the
         // sums keep their exact bits).
@@ -640,6 +648,11 @@ impl PreferenceMap {
             }
             let wrow = &mut bcells[c * width..(c + 1) * width];
             let dspan = feasible_draws.next().expect("one draw per feasible cell");
+            if let Some(per) = uniform {
+                (*csum, tot) =
+                    noise_fill_uniform(wrow, bts, dspan, per, s, amplitude, (*csum, tot));
+                continue;
+            }
             for ((w, ts), &dr) in wrow.iter_mut().zip(bts.iter_mut()).zip(dspan) {
                 let raw_cur = *w;
                 let value = (raw_cur * s + amplitude * dr).max(0.0);
@@ -656,6 +669,49 @@ impl PreferenceMap {
         }
         self.total[r] = tot;
     }
+}
+
+/// NOISE on one cluster's `cells` that all hold `per`, with the
+/// row's time marginals `tsum`, pending scale `s` and the cluster's
+/// draws: returns the cluster marginal and row total `sums` after the
+/// fill, bit-exact with the per-cell loop.
+///
+/// Two loops. The first has no branch and no dependence between cells,
+/// so it vectorizes: each new raw cell, its slot's time-marginal
+/// addition, and one validity flag for the panic. The second folds the
+/// deltas into the two running sums in slot order; it recomputes each
+/// as `w − per`, which is bit for bit the first loop's `raw − per`.
+/// Those sums are chains of dependent additions, and keeping the
+/// division out of them leaves them one add latency per cell. Neither
+/// loop skips a zero delta as the per-cell path does: every sum here
+/// starts positive (an untouched row's marginals are sums of `per`),
+/// and adding an exact zero to a positive sum leaves its bits.
+#[inline(always)]
+fn noise_fill_uniform(
+    cells: &mut [f64],
+    tsum: &mut [f64],
+    draws: &[f64],
+    per: f64,
+    s: f64,
+    amplitude: f64,
+    (mut csum, mut tot): (f64, f64),
+) -> (f64, f64) {
+    let mut valid = true;
+    for ((w, ts), &dr) in cells.iter_mut().zip(tsum.iter_mut()).zip(draws) {
+        let value = (per * s + amplitude * dr).max(0.0);
+        valid &= value.is_finite() & (value >= 0.0);
+        let raw = value / s;
+        // `raw == per` stores `per`'s own bits: both are positive.
+        *w = raw;
+        *ts += raw - per;
+    }
+    assert!(valid, "weights are ≥ 0");
+    for &w in cells.iter() {
+        let d = w - per;
+        csum += d;
+        tot += d;
+    }
+    (csum, tot)
 }
 
 #[cfg(test)]

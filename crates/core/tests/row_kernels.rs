@@ -375,3 +375,63 @@ fn near_tie_row(
     reference.replay(&map.take_recording());
     (map, reference)
 }
+
+/// `noise_fill` on rows wider than the kernel's block: an untouched
+/// row across the whole 301-slot map, then a 151-slot window with a
+/// forbidden cluster, shaped cells and a pending scale. Neither width
+/// is a multiple of the vector lane count, and both cross block
+/// boundaries. The bulk map, the per-cell loop and the dense reference
+/// must agree bit for bit after every fill.
+#[test]
+fn noise_fill_matches_per_cell_on_wide_windows() {
+    const WIDE: usize = 301;
+    let i1 = InstrId::new(1);
+    let c = ClusterId::new;
+    let mut bulk = PreferenceMap::new(2, C, WIDE);
+    let mut cell = PreferenceMap::new(2, C, WIDE);
+    let mut reference = ReferenceMap::new(2, C, WIDE);
+    cell.record();
+    for w in [&mut bulk, &mut cell] {
+        w.set_window(i1, 7, 157);
+        w.forbid_cluster(i1, c(1));
+        for t in (7..=157).step_by(5) {
+            w.set(i1, c(2), t, 0.01 * f64::from(t % 13));
+        }
+        w.scale_cluster(i1, c(0), 3.0);
+        w.normalize(i1);
+    }
+    for (i, amplitude, seed) in [(0, 1.0, 11), (1, 1.0, 12), (1, 0.25, 13), (0, 1.5, 14)] {
+        let op = Op::NoiseFill { i, amplitude, seed };
+        apply_bulk(&mut bulk, &op);
+        apply_reference(&mut cell, &op);
+        reference.replay(&cell.take_recording());
+        cell.record();
+        assert_matches(&format!("bulk after {op:?}"), &bulk, &reference);
+        assert_matches(&format!("per-cell after {op:?}"), &cell, &reference);
+    }
+}
+
+/// A fill whose value overflows to +∞ on a band — amplitude
+/// `f64::MAX`, a draw just below 1 and a large cell — panics, as the
+/// per-cell path does.
+#[test]
+#[should_panic(expected = "weights are ≥ 0")]
+fn noise_fill_panics_on_an_infinite_weight() {
+    let i = InstrId::new(0);
+    let mut w = PreferenceMap::new(1, 1, 100);
+    w.set(i, ClusterId::new(0), 70, f64::MAX / 2.0);
+    let mut d = vec![0.5; 100];
+    d[70] = 1.0 - f64::EPSILON / 2.0;
+    w.noise_fill(i, f64::MAX, &d);
+}
+
+/// The same on an untouched row, whose fill checks validity once per
+/// cluster: one draw past 1 deep in a wide window overflows.
+#[test]
+#[should_panic(expected = "weights are ≥ 0")]
+fn noise_fill_panics_on_an_infinite_weight_in_an_untouched_row() {
+    let mut w = PreferenceMap::new(1, 2, 100);
+    let mut d = vec![0.5; 200];
+    d[170] = 1.5;
+    w.noise_fill(InstrId::new(0), f64::MAX, &d);
+}

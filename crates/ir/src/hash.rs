@@ -22,6 +22,12 @@ impl Hasher for IdHasher {
     fn write_u32(&mut self, n: u32) {
         self.write_u64(u64::from(n));
     }
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
     fn write_usize(&mut self, n: usize) {
         self.write_u64(n as u64);
     }
@@ -64,5 +70,26 @@ mod tests {
         let filled = buckets.iter().filter(|&&f| f).count();
         assert!(filled > 4000, "32 000 keys filled {filled} of 4096 buckets");
         assert!(tags.iter().all(|&t| t), "a top-7-bit tag went unused");
+    }
+
+    /// Narrow integers take one multiply round, as a `u64` does, not
+    /// one per byte.
+    #[test]
+    fn narrow_integers_hash_as_one_word() {
+        let one_word = |n: u64| {
+            let mut h = IdHasher::default();
+            h.write_u64(n);
+            h.finish()
+        };
+        for n in [0u16, 1, 0x1234, u16::MAX] {
+            let mut h = IdHasher::default();
+            h.write_u16(n);
+            assert_eq!(h.finish(), one_word(u64::from(n)), "u16 {n}");
+        }
+        for n in [0u8, 7, u8::MAX] {
+            let mut h = IdHasher::default();
+            h.write_u8(n);
+            assert_eq!(h.finish(), one_word(u64::from(n)), "u8 {n}");
+        }
     }
 }

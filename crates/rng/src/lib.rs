@@ -6,16 +6,62 @@
 //! the random workload generators and the fuzz case stream replay
 //! bit for bit from a seed. [`Rng`] is that stream; [`splitmix64`] is
 //! its step function for callers that keep a bare `u64` state.
+//!
+//! [`Rng::fill_f64`] draws a block of the same stream at once. The
+//! `k`-th step of SplitMix64 from state `s` mixes `s + (k+1)·γ`, so
+//! the block's draws are independent of one another; on an x86-64
+//! host that reports AVX-512 (F, DQ and VL) the fill computes them in
+//! that counter form with 64-bit vector multiplies and exact
+//! integer-to-`f64` conversions. Every other host, and any run under
+//! miri, takes the sequential [`Rng::next_f64`] loop. Both write the
+//! same bits and leave the same state.
+
+/// SplitMix64's increment, γ.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Advances `state` by one SplitMix64 step and returns the next 64
 /// random bits.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+    *state = state.wrapping_add(GAMMA);
+    mix(*state)
+}
+
+/// SplitMix64's output function.
+#[inline(always)]
+fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The top 53 bits of `bits` as a uniform `f64` in `[0, 1)`.
+#[inline(always)]
+fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
+}
+
+/// The portable block fill: `out.len()` sequential steps.
+fn fill_f64_sequential(rng: &mut Rng, out: &mut [f64]) {
+    for o in out {
+        *o = rng.next_f64();
+    }
+}
+
+/// The block fill in counter form: draw `k` mixes
+/// `state + (k+1)·γ`, and the state advances by `out.len()·γ` once.
+/// Every step is a lane-wise wrapping integer operation, so the loop
+/// vectorizes; the feature set gives it `vpmullq` and the exact
+/// `u64 → f64` conversion. Calling it is sound only on a CPU with all
+/// three features, which [`Rng::fill_f64`] detects first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn fill_f64_avx512(state: &mut u64, out: &mut [f64]) {
+    let base = *state;
+    for (k, o) in (1u64..).zip(out.iter_mut()) {
+        *o = unit_f64(mix(base.wrapping_add(k.wrapping_mul(GAMMA))));
+    }
+    *state = base.wrapping_add((out.len() as u64).wrapping_mul(GAMMA));
 }
 
 /// A seeded SplitMix64 stream.
@@ -42,7 +88,24 @@ impl Rng {
     /// A uniform `f64` in `[0, 1)` from 53 mantissa bits.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
+        unit_f64(self.next_u64())
+    }
+
+    /// Fills `out` with the next `out.len()` draws of
+    /// [`Rng::next_f64`], bit for bit, leaving the stream where those
+    /// calls would. See the crate docs for the two bodies.
+    pub fn fill_f64(&mut self, out: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx512f")
+            && std::is_x86_feature_detected!("avx512dq")
+            && std::is_x86_feature_detected!("avx512vl")
+        {
+            // SAFETY: the body is compiled for exactly the three
+            // features just detected on this CPU.
+            unsafe { fill_f64_avx512(&mut self.state, out) };
+            return;
+        }
+        fill_f64_sequential(self, out);
     }
 
     /// An integer in `[0, n)`: `next_u64() % n`, with the modulo bias
@@ -71,7 +134,7 @@ impl Rng {
 
 #[cfg(test)]
 mod tests {
-    use super::Rng;
+    use super::{fill_f64_sequential, Rng};
 
     /// The first draws for seeds 0 and 7. Every convergent schedule,
     /// workload graph and recorded digest depends on this stream, so
@@ -106,5 +169,54 @@ mod tests {
         assert_eq!(draws(7, below), "27 66 59 56");
         assert_eq!(draws(0, bools), "00 11 00 00");
         assert_eq!(draws(7, bools), "00 01 01 00");
+    }
+
+    /// `n` draws of `next_f64` from `rng`'s current state.
+    fn singles(rng: &Rng, n: usize) -> Vec<u64> {
+        let mut r = rng.clone();
+        (0..n).map(|_| r.next_f64().to_bits()).collect()
+    }
+
+    /// Both block bodies against single draws, for every length up to
+    /// 64 (a partial vector at each) and one long row; the next draw
+    /// after the fill must continue the stream.
+    #[test]
+    fn block_fill_equals_single_draws() {
+        type Fill = fn(&mut Rng, &mut [f64]);
+        let bodies: [(&str, Fill); 2] = [
+            ("dispatched", Rng::fill_f64),
+            ("sequential", fill_f64_sequential),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let lens = (0..=64).chain([10_000]);
+        for (n, seed) in lens.flat_map(|n| [(n, 0), (n, 7), (n, u64::MAX)]) {
+            for (name, fill) in bodies {
+                let mut rng = Rng::seed_from_u64(seed);
+                let want = singles(&rng, n + 1);
+                let mut out = vec![0.0; n];
+                fill(&mut rng, &mut out);
+                assert_eq!(bits(&out), want[..n], "{name}, n {n}, seed {seed}");
+                assert_eq!(rng.next_f64().to_bits(), want[n], "{name}, n {n}");
+            }
+        }
+    }
+
+    /// Fills, single draws of every kind and empty fills interleaved
+    /// read one stream.
+    #[test]
+    fn block_fills_and_single_draws_interleave() {
+        let mut rng = Rng::seed_from_u64(3);
+        let mut reference = rng.clone();
+        for (round, n) in [0, 1, 5, 8, 0, 13, 64, 3].into_iter().enumerate() {
+            let mut out = vec![0.0; n];
+            rng.fill_f64(&mut out);
+            for (k, &x) in out.iter().enumerate() {
+                let want = reference.next_f64();
+                assert_eq!(x.to_bits(), want.to_bits(), "round {round}, draw {k}");
+            }
+            assert_eq!(rng.next_u64(), reference.next_u64(), "round {round}");
+            assert_eq!(rng.below(10), reference.below(10), "round {round}");
+            assert_eq!(rng.gen_bool(0.5), reference.gen_bool(0.5), "round {round}");
+        }
     }
 }

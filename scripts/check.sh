@@ -6,8 +6,9 @@
 #   scripts/check.sh          # the full gate
 #   scripts/check.sh --miri   # additionally run the recording-proxy,
 #                             # row-kernel and abstract-domain
-#                             # proptests under cargo miri (skipped
-#                             # with a notice if miri is not installed)
+#                             # proptests and the RNG's tests under
+#                             # cargo miri (skipped with a notice if
+#                             # miri is not installed)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -204,7 +205,7 @@ step "benchmark smoke tests (schedbench builds against the workspace crates)"
 # the benchmark.
 cargo test --release --offline --manifest-path schedbench/Cargo.toml
 if [ "$MIRI" = 1 ]; then
-    step "recording-proxy, row-kernel, and abstract-domain proptests under miri"
+    step "recording-proxy, row-kernel, abstract-domain and RNG tests under miri"
     if cargo miri --version >/dev/null 2>&1; then
         # Undefined behaviour in the WeightOp logging hot path would
         # invalidate every contract verdict; miri checks the proxy's
@@ -215,6 +216,11 @@ if [ "$MIRI" = 1 ]; then
         # The abstract interpreter's lattice laws underpin every
         # `Proven` verdict the contract checker reports.
         cargo miri test -p convergent-analysis --test absint
+        # The RNG's block fill holds the workspace's one `unsafe` call.
+        # Under miri, feature detection reports only compile-time
+        # features, so this checks the detection branch and the
+        # portable sequential body.
+        cargo miri test -p convergent-rng
     else
         echo "check.sh: miri not installed (rustup component add miri); skipping"
     fi
